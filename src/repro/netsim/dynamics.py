@@ -14,7 +14,7 @@ half of that story:
 * :class:`NetworkDynamics` — applies due mutations to a live
   :class:`~repro.netsim.engine.Engine`, using only the version-bumping
   topology/policy/balancer primitives so every engine cache (resolved
-  paths, bulk index, lazy-BFS routing) invalidates itself before the next
+  paths, lazy-BFS routing) invalidates itself before the next
   probe is answered.
 
 The schedule is the single source of truth: the event stream a run emits
@@ -269,10 +269,16 @@ class MutationSchedule:
 
 def _scratch_alloc(topology: Topology, length: int,
                    cursor: int) -> Tuple[int, int]:
-    """Allocate a free /``length`` block from the RFC 2544 scratch range."""
+    """Allocate a free /``length`` block from the RFC 2544 scratch range.
+
+    The candidate is rounded up to a multiple of the block size: an
+    unaligned network would normalize down onto a block handed out earlier
+    in the same schedule (not yet in ``topology``, so only the cursor
+    guards it).
+    """
     scratch = Prefix(SCRATCH_NETWORK, SCRATCH_LENGTH)
     size = Prefix(0, length).size
-    network = cursor
+    network = -(-cursor // size) * size
     blocks = topology._blocks
     while network + size - 1 <= scratch.broadcast:
         candidate = Prefix(network, length)

@@ -19,9 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .topology import Topology
 
-try:  # optional acceleration; the pure-python path behaves identically
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
+try:  # numpy is a declared dependency; the pure-python BFS behaves
+    import numpy as _np  # identically and is the parity tests' reference
+except ImportError:  # pragma: no cover
     _np = None
 
 

@@ -226,24 +226,45 @@ class JobQueue:
             fp.flush()
 
     def _replay(self, path: str) -> None:
-        with open(path, "r", encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                kind = record.get("record")
-                if kind == "job":
-                    job = SurveyJob.from_dict(record["job"])
-                    self.jobs[job.job_id] = job
-                elif kind == "state":
-                    job = self.jobs.get(record["job_id"])
-                    if job is not None:
-                        job.state = JobState(record["state"])
-                        job.error = record.get("error")
-                else:
-                    raise ValueError(
-                        f"unknown job-queue record kind {kind!r}")
+        """Rebuild the job table from the journal.
+
+        A crash can tear the final append.  A last line that lacks its
+        trailing newline or does not parse is cut off, so the journal ends
+        at the last complete record and the next append starts a fresh
+        line.  A bad record anywhere before the last line still raises.
+        """
+        with open(path, "rb") as fp:
+            data = fp.read()
+        end = 0  # byte offset just past the last complete record
+        while end < len(data):
+            newline = data.find(b"\n", end)
+            try:
+                if newline < 0:
+                    raise ValueError("journal record has no trailing newline")
+                line = data[end:newline].strip()
+                record = json.loads(line) if line else None
+            except ValueError:
+                if newline >= 0 and newline + 1 < len(data):
+                    raise
+                with open(path, "r+b") as fp:
+                    fp.truncate(end)
+                return
+            end = newline + 1
+            if record is not None:
+                self._apply(record)
+
+    def _apply(self, record: Dict) -> None:
+        kind = record.get("record")
+        if kind == "job":
+            job = SurveyJob.from_dict(record["job"])
+            self.jobs[job.job_id] = job
+        elif kind == "state":
+            job = self.jobs.get(record["job_id"])
+            if job is not None:
+                job.state = JobState(record["state"])
+                job.error = record.get("error")
+        else:
+            raise ValueError(f"unknown job-queue record kind {kind!r}")
 
 
 def shard_attempt_summary(attempts: Dict[int, int]) -> str:

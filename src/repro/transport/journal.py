@@ -264,18 +264,11 @@ class ReplayTransport:
         return self._vantages[host_id]
 
     def backend_metrics(self) -> Dict:
-        """Replay cursor accounting (no engine behind this backend).
-
-        The bulk-lookup gauges are pinned to zero so the metric inventory
-        matches the live backends': a replayed run serves every response
-        from the journal, never from the engine's resolved-path index.
-        """
+        """Replay cursor accounting (no engine behind this backend)."""
         return {
             "replay_exchanges_served": self.cursor,
             "replay_exchanges_remaining": self.remaining,
             "replay_batches_served": self.batches,
-            "engine_bulk_lookup_hits": 0,
-            "engine_bulk_lookup_misses": 0,
         }
 
     def close(self) -> None:

@@ -16,6 +16,7 @@ import pytest
 from repro.core import TraceNET
 from repro.events import EventBus, ProbeRetried, TopologyMutated
 from repro.netsim import Engine, TopologyBuilder
+from repro.netsim.addressing import Prefix
 from repro.netsim.dynamics import (
     MutationSchedule,
     NetworkDynamics,
@@ -85,6 +86,29 @@ class TestMutationSchedule:
             elif mutation.kind == "resize":
                 assert "old_prefix" in mutation.detail
                 assert "new_prefix" in mutation.detail
+
+    def test_renumber_blocks_are_aligned_and_disjoint(self):
+        """Regression: the scratch cursor was not aligned to the block
+        size, so a /29 after a /30 normalized back onto the /30."""
+        network = geant.build(seed=7)
+        schedule = MutationSchedule.generate(
+            network.topology, seed=7, start=200, interval=300, count=12)
+        renumbers = [m for m in schedule if m.kind == "renumber"]
+        assert len(renumbers) >= 2
+        blocks = []
+        for mutation in renumbers:
+            detail = mutation.detail
+            block = Prefix(detail["new_network"], detail["length"])
+            assert block.network == detail["new_network"], mutation.target
+            assert str(block) == detail["new_prefix"]
+            blocks.append(block)
+        for i, first in enumerate(blocks):
+            for second in blocks[i + 1:]:
+                assert not first.overlaps(second), (first, second)
+        engine = Engine(network.topology, policy=network.policy)
+        applied = NetworkDynamics(engine, schedule).advance(
+            schedule.mutations[-1].epoch)
+        assert len(applied) == len(schedule)
 
     def test_scheduled_mutation_round_trip(self):
         mutation = ScheduledMutation(epoch=5, sequence=1, kind="ecmp",

@@ -1,11 +1,9 @@
-"""Differential tests for the vectorized bulk ``send_many`` fast path.
+"""Differential tests for ``Engine.send_many`` against ``send`` and the walk.
 
-The contract: ``send_many`` over the packed-key flow index (the default),
-``send_many`` with ``vector_path=False`` (the legacy per-probe loop), and a
-plain ``send`` loop are packet-for-packet identical — same responses, same
-IP-ID streams, same rate-limit bucket drains, same record-route stamps —
-and the bulk-lookup counters always reconcile
-(``bulk_lookup_hits + bulk_lookup_misses == batched_probes``).
+The contract: ``send_many`` batches, a plain ``send`` loop (both over the
+resolved-path memo) and a cache-off engine (the plain hop-by-hop walk, the
+reference) are packet-for-packet identical — same responses, same IP-ID
+streams, same rate-limit bucket drains, same record-route stamps.
 """
 
 from conftest import address_on
@@ -20,8 +18,8 @@ from repro.netsim import (
     TopologyBuilder,
 )
 
-#: Above the engine's bulk minimum batch size, so the vectorized path
-#: engages once the flow index is warm.
+#: Batch size: shorter than most probe sequences below, so batches split
+#: TTL sweeps and first-contact misses land mid-batch.
 CHUNK = 32
 
 
@@ -70,32 +68,43 @@ def ladder(topo, dsts, ttls=range(1, 7), repeats=3, flows=(0,),
     ]
 
 
+def run_lane(lane, engine, probes, chunk=CHUNK):
+    """Send ``probes`` one by one (``walk``/``serial``) or in batches."""
+    if lane != "batched":
+        return [engine.send(p) for p in probes]
+    responses = []
+    for start in range(0, len(probes), chunk):
+        responses.extend(engine.send_many(probes[start:start + chunk]))
+    return responses
+
+
+#: lane -> engine options; ``walk`` is the cache-off reference.
+LANES = (("walk", {"path_cache": False}),
+         ("serial", {}),
+         ("batched", {}))
+
+
 def dispatch(make_engine, probes_of, chunk=CHUNK):
-    """Run one probe sequence through all three dispatch lanes.
+    """Run one probe sequence through the walk, send and send_many lanes.
 
     ``make_engine`` must build everything fresh per call (rate-limit
     buckets are stateful across engines sharing a policy object).
     """
     streams, engines = {}, {}
-    for lane, kwargs in (("serial", {}),
-                         ("legacy", {"vector_path": False}),
-                         ("bulk", {})):
+    for lane, kwargs in LANES:
         engine, topo = make_engine(**kwargs)
-        probes = probes_of(topo)
-        if lane == "serial":
-            responses = [engine.send(p) for p in probes]
-        else:
-            responses = []
-            for start in range(0, len(probes), chunk):
-                responses.extend(engine.send_many(probes[start:start + chunk]))
+        responses = run_lane(lane, engine, probes_of(topo), chunk)
         streams[lane] = [signature(r) for r in responses]
         engines[lane] = engine
-    assert streams["legacy"] == streams["serial"]
-    assert streams["bulk"] == streams["serial"]
-    for lane in ("legacy", "bulk"):
-        stats = engines[lane].stats
-        assert (stats.bulk_lookup_hits + stats.bulk_lookup_misses
-                == stats.batched_probes), lane
+    assert streams["serial"] == streams["walk"]
+    assert streams["batched"] == streams["walk"]
+    serial, batched = engines["serial"].stats, engines["batched"].stats
+    assert engines["batched"].clock == engines["serial"].clock
+    assert batched.batched_probes == batched.probes_sent
+    for counter in ("probes_sent", "responses_returned", "silent_drops",
+                    "path_cache_hits", "path_cache_misses",
+                    "path_cache_uncacheable", "per_protocol"):
+        assert getattr(batched, counter) == getattr(serial, counter), counter
     return streams, engines
 
 
@@ -105,12 +114,14 @@ class TestBulkEquivalence:
             chain,
             lambda topo: ladder(topo, [("R5", "R4"), ("R3", "R2"),
                                        ("R2", "R1")]))
-        assert engines["bulk"].stats.bulk_lookup_hits > 0
+        assert engines["batched"].stats.path_cache_hits > 0
 
     def test_multiple_flows_keyed_separately(self):
-        dispatch(chain,
-                 lambda topo: ladder(topo, [("R5", "R4"), ("R4", "R3")],
-                                     flows=(0, 3, 7)))
+        _, engines = dispatch(
+            chain,
+            lambda topo: ladder(topo, [("R5", "R4"), ("R4", "R3")],
+                                flows=(0, 3, 7)))
+        assert engines["batched"].stats.path_cache_misses == 6
 
     def test_rate_limited_bucket_drains_identically(self):
         def limited(**kw):
@@ -122,8 +133,8 @@ class TestBulkEquivalence:
             limited,
             lambda topo: ladder(topo, [("R5", "R4")], ttls=(2,),
                                 repeats=40))
-        assert None in streams["serial"]          # the bucket did drain
-        assert any(s is not None for s in streams["serial"])
+        assert None in streams["walk"]          # the bucket did drain
+        assert any(s is not None for s in streams["walk"])
 
     def test_nil_router_and_random_ip_id(self):
         def configured(**kw):
@@ -138,39 +149,43 @@ class TestBulkEquivalence:
             lambda topo: ladder(topo, [("R5", "R4"), ("R4", "R3")]))
         # The NIL router stays silent on indirect probes (ttl=2 expires at
         # R2), while deeper hops — including the RANDOM-IP-ID one — answer.
-        assert None in streams["serial"]
-        assert any(s is not None and s[2] == "R3" for s in streams["serial"])
+        assert None in streams["walk"]
+        assert any(s is not None and s[2] == "R3" for s in streams["walk"])
 
     def test_record_route_probes_take_the_slow_path(self):
-        _, engines = dispatch(
+        streams, engines = dispatch(
             chain,
             lambda topo: ladder(topo, [("R5", "R4")],
                                 record_route=(False, True)))
-        stats = engines["bulk"].stats
-        assert stats.bulk_lookup_hits > 0
-        assert stats.bulk_lookup_misses > 0   # every record-route probe
+        # Record-route probes replay their stamps from the same memo.
+        assert any(s is not None and s[4] for s in streams["walk"])
+        assert engines["batched"].stats.path_cache_hits > 0
 
     def test_per_packet_balancer_preserves_rng_stream(self):
         streams, engines = dispatch(
             lambda **kw: diamond(LoadBalancingMode.PER_PACKET, **kw),
             lambda topo: ladder(topo, [("R5", "R4")], ttls=(2,),
                                 repeats=48))
-        responders = {s[2] for s in streams["bulk"] if s is not None}
+        responders = {s[2] for s in streams["batched"] if s is not None}
         assert responders == {"R2", "R3"}
-        # Per-packet flows are uncacheable: the bulk lane must fall back
-        # probe for probe, never serving them from the flow index.
-        assert engines["bulk"].stats.bulk_lookup_hits == 0
+        # Per-packet flows are uncacheable: every probe after first
+        # contact takes the walk, never the memo.
+        stats = engines["batched"].stats
+        assert stats.path_cache_hits == 0
+        assert stats.path_cache_uncacheable == 47
 
     def test_per_flow_balancer_is_cached(self):
         _, engines = dispatch(
             lambda **kw: diamond(LoadBalancingMode.PER_FLOW, **kw),
             lambda topo: ladder(topo, [("R5", "R4"), ("R4", "R5")],
                                 flows=(0, 5)))
-        assert engines["bulk"].stats.bulk_lookup_hits > 0
+        stats = engines["batched"].stats
+        assert stats.path_cache_hits > 0
+        assert stats.path_cache_uncacheable == 0
 
     def test_misses_interleaved_mid_batch(self):
-        # New destinations first appear in the middle of a batch, so the
-        # bulk path must splice walk results between index-served hits.
+        # New destinations first appear in the middle of a batch, so
+        # send_many must answer first contacts between memo hits.
         def probes_of(topo):
             warm = ladder(topo, [("R5", "R4")], repeats=8)
             cold = ladder(topo, [("R3", "R2")], repeats=1)
@@ -178,41 +193,34 @@ class TestBulkEquivalence:
             return head + cold + tail
 
         _, engines = dispatch(chain, probes_of)
-        stats = engines["bulk"].stats
-        assert stats.bulk_lookup_hits > 0
-        assert stats.bulk_lookup_misses > 0
+        stats = engines["batched"].stats
+        assert stats.path_cache_hits > 0
+        assert stats.path_cache_misses == 2
 
 
 class TestRateLimitedNilOrdering:
     def test_token_state_matches_serial(self):
-        # Regression: the legacy loop once checked the NIL (source=None)
+        # Regression: a batch loop once checked the NIL (source=None)
         # plan before drawing the rate-limit bucket, leaving a silenced,
         # rate-limited router's token state ahead of a serial run.  The
         # bucket must be consumed first, exactly as the walk does.
-        def run(lane):
+        def run(lane, kwargs):
             policy = ResponsePolicy().rate_limit_router(
                 "R2", capacity=3, refill_per_tick=0.1)
             policy.silence_router("R2")
-            engine, topo = chain(
-                policy=policy,
-                **({"vector_path": False} if lane == "legacy" else {}))
+            engine, topo = chain(policy=policy, **kwargs)
             probes = ladder(topo, [("R5", "R4")], ttls=(2, 3), repeats=30)
-            if lane == "serial":
-                responses = [engine.send(p) for p in probes]
-            else:
-                responses = []
-                for start in range(0, len(probes), CHUNK):
-                    responses.extend(
-                        engine.send_many(probes[start:start + CHUNK]))
+            responses = run_lane(lane, engine, probes)
             bucket = policy._rate_limiters["R2"]
             return ([signature(r) for r in responses],
                     (bucket.tokens, bucket.last_tick))
 
-        serial_stream, serial_bucket = run("serial")
-        for lane in ("legacy", "bulk"):
-            stream, bucket = run(lane)
-            assert stream == serial_stream, lane
-            assert bucket == serial_bucket, lane
+        runs = {lane: run(lane, kwargs) for lane, kwargs in LANES}
+        walk_stream, walk_bucket = runs["walk"]
+        for lane in ("serial", "batched"):
+            stream, bucket = runs[lane]
+            assert stream == walk_stream, lane
+            assert bucket == walk_bucket, lane
         # R2 never answers (silenced), deeper hops still do.
-        assert all(s is None or s[2] != "R2" for s in serial_stream)
-        assert any(s is not None for s in serial_stream)
+        assert all(s is None or s[2] != "R2" for s in walk_stream)
+        assert any(s is not None for s in walk_stream)

@@ -153,6 +153,49 @@ class TestEquivalence:
         assert None in pattern_slow          # the bucket did drain
         assert fast.stats.path_cache_hits > 0
 
+    def test_first_contact_matches_walk(self):
+        # Every probe opens a new flow, so each one is a miss: the miss
+        # path resolves the flow once and answers through the replay,
+        # never the walk, with the walk's IP-IDs and bucket drains.
+        def limited(**kw):
+            policy = ResponsePolicy().rate_limit_router(
+                "R2", capacity=2, refill_per_tick=0.3)
+            return chain(policy=policy, **kw)
+
+        slow, topo = limited(path_cache=False)
+        fast, _ = limited(path_cache=True)
+        resolves = []
+        resolve = fast._resolve_path
+
+        def counting_resolve(p):
+            resolves.append(p)
+            return resolve(p)
+
+        def no_walk(*_):
+            raise AssertionError("a cacheable miss must not walk")
+
+        fast._resolve_path = counting_resolve
+        fast._walk = no_walk
+        sent = 0
+        for name in [("R5", "R4"), ("R3", "R2"), ("R1", "R2"), 0x01010101]:
+            dst = address_on(topo, *name) if isinstance(name, tuple) else name
+            for ttl in range(1, 9):
+                for rr in (False, True):
+                    sent += 1
+                    flow = sent  # a fresh flow: first contact every time
+                    a = slow.send(probe(topo, dst, ttl, flow, rr))
+                    b = fast.send(probe(topo, dst, ttl, flow, rr))
+                    assert signature(a) == signature(b), (
+                        f"dst={dst} ttl={ttl} rr={rr}")
+        assert fast.stats.path_cache_misses == sent == len(resolves)
+        assert fast.stats.path_cache_hits == 0
+        assert slow.stats.silent_drops > 0
+        assert fast._ip_id_counters == slow._ip_id_counters
+        slow_bucket = slow.policy._rate_limiters["R2"]
+        fast_bucket = fast.policy._rate_limiters["R2"]
+        assert ((fast_bucket.tokens, fast_bucket.last_tick)
+                == (slow_bucket.tokens, slow_bucket.last_tick))
+
 
 class TestUncacheable:
     def test_per_packet_flows_bypass_the_cache(self):

@@ -116,6 +116,48 @@ class TestJobQueue:
         # recovery is journaled too: a third open sees queued directly
         assert JobQueue(path).get("job-0001").state is JobState.QUEUED
 
+    def test_reopens_after_torn_final_record(self, spec, targets, tmp_path):
+        path = str(tmp_path / "queue.jsonl")
+        queue = JobQueue(path)
+        queue.submit(make_job(spec, targets))
+        queue.transition("job-0001", JobState.RUNNING)
+        with open(path, "rb") as fp:
+            intact = fp.read()
+        last_start = len(intact)
+        queue.submit(make_job(spec, targets, job_id="job-0002"))
+        with open(path, "rb") as fp:
+            full = fp.read()
+        last_len = len(full) - last_start
+        for cut in (1, last_len // 2, last_len - 1):
+            with open(path, "wb") as fp:
+                fp.write(full[:last_start + cut])
+            reopened = JobQueue(path)
+            assert list(reopened.jobs) == ["job-0001"], cut
+            with open(path, "rb") as fp:
+                assert fp.read() == intact, cut
+            demoted = reopened.recover()
+            assert [job.job_id for job in demoted] == ["job-0001"]
+            reopened.submit(make_job(spec, targets, job_id="job-0003"))
+            with open(path, "rb") as fp:
+                lines = fp.read().splitlines()
+            assert json.loads(lines[-1])["job"]["job_id"] == "job-0003"
+            again = JobQueue(path)
+            assert again.get("job-0001").state is JobState.QUEUED
+            assert again.get("job-0003").state is JobState.QUEUED
+
+    def test_bad_record_mid_journal_still_raises(self, spec, targets,
+                                                 tmp_path):
+        path = str(tmp_path / "queue.jsonl")
+        queue = JobQueue(path)
+        queue.submit(make_job(spec, targets))
+        queue.transition("job-0001", JobState.RUNNING)
+        with open(path, "rb") as fp:
+            lines = fp.read().splitlines(keepends=True)
+        with open(path, "wb") as fp:
+            fp.write(lines[0][:10] + b"\n" + lines[1])
+        with pytest.raises(ValueError):
+            JobQueue(path)
+
     def test_scenario_fingerprint_tracks_spec(self, spec, targets):
         job = make_job(spec, targets)
         same = make_job(spec, targets, job_id="job-0002")
