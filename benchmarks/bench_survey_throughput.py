@@ -1,15 +1,14 @@
-"""Survey throughput: serial walk vs fast path vs batched pipeline vs shards.
+"""Survey throughput: serial walk vs fast path vs stop sets vs shards.
 
 Tracks the perf trajectory of the collection pipeline on the Internet2
 topology in three groups of lanes:
 
 * **engine probe rate** — the same TTL-sweep probe workload pushed through
-  one engine three ways: per-probe ``send`` with the resolved-path cache
-  off (every probe re-walks the routed path), per-probe ``send`` with the
-  cache on, and ``send_many`` batches with the cache on.  The probe
-  objects are built once outside the timed region for every lane, so the
-  lanes compare dispatch cost, not packet allocation.  Gates: batched
-  faster than serial (every run), fastpath >= 2x serial (full runs).
+  one engine two ways: per-probe ``send`` with the resolved-path cache
+  off (every probe re-walks the routed path) and with the cache on.  The
+  probe objects are built once outside the timed region for every lane,
+  so the lanes compare dispatch cost, not packet allocation.  Gates: the
+  cache hits (every run), fastpath >= 2x serial (full runs).
 * **counters-only overhead** — the same fastpath survey with no sinks
   vs a single :class:`CounterSink` subscribed (every producer takes the
   type-only ``tally`` path, no event objects constructed) vs counters
@@ -22,9 +21,7 @@ topology in three groups of lanes:
   BFS count, and peak RSS at each budget in ``SCALE_LANES``.  Full runs
   only; ``--scale-smoke`` runs a 10^5-interface CI gate instead.
 * **survey rate** — full tracenet surveys (trace + positioning +
-  exploration) serial with cache off/on, instrumented, batched
-  (``batch_window=1``: every ladder probe rides the transport batch API
-  with a probe stream byte-identical to the serial path), stop-set
+  exploration) serial with cache off/on, instrumented, stop-set
   (Doubletree suppression: fewer probes, equivalent archive), and sharded
   over worker processes.
 * **parallel accounting** — the sharded lane reports both a *cold* rate
@@ -69,14 +66,12 @@ SCALE_SMOKE_PATH = os.path.join(REPO_ROOT, "BENCH_scale_smoke.json")
 
 SEED = 7
 TTL_SWEEP = 12  # TTLs probed per destination in the engine lane
-# Probes per send_many dispatch in the batched engine lane.
-BATCH_CHUNK = 1024
 # The engine sweeps finish in milliseconds on the faster lanes — too
 # short to time reliably.  Each timed rep repeats the sweep enough times
 # to stretch the region to tens of milliseconds; rates are normalized by
 # the actual probe count, so lanes with different loop counts compare
 # directly.
-LANE_LOOPS = {"serial": 1, "fastpath": 3, "batched": 3}
+LANE_LOOPS = {"serial": 1, "fastpath": 3}
 SCALE_LANES = (100_000, 1_000_000)  # interface budgets, full runs only
 
 
@@ -91,17 +86,15 @@ def peak_rss_bytes() -> int:
 
 
 def engine_probe_rates(network, targets, reps: int = 5) -> dict:
-    """Push a survey-shaped (dst, ttl) workload through three engines:
-    per-probe sends with the resolved-path cache off and on, and
-    ``send_many`` batches with the cache on.
+    """Push a survey-shaped (dst, ttl) workload through two engines:
+    per-probe sends with the resolved-path cache off and on.
 
-    The probe list is built once, outside every timed region — all three
+    The probe list is built once, outside every timed region — both
     lanes dispatch the *same* prebuilt objects, so the comparison isolates
     engine dispatch cost.  One un-timed warmup pass per engine populates
     the lazily-built routing table and, on the cached engines, the path
     memo.  The sweep is then timed ``reps`` times per engine with the
-    lanes *interleaved* — serial rep, fastpath rep, batched rep, serial
-    rep, ... — so a systematic slowdown mid-bench (CPU throttling, a noisy
+    lanes *interleaved* — serial rep, fastpath rep, serial rep, ... — so a systematic slowdown mid-bench (CPU throttling, a noisy
     neighbour) hits every lane equally instead of whichever ran last.  The fast
     lanes finish a single sweep in milliseconds, so each timed rep runs
     the sweep ``LANE_LOOPS[lane]`` times and rates are normalized by the
@@ -119,36 +112,25 @@ def engine_probe_rates(network, targets, reps: int = 5) -> dict:
                          path_cache=False),
         "fastpath": Engine(network.topology, policy=network.policy,
                            path_cache=True),
-        "batched": Engine(network.topology, policy=network.policy,
-                          path_cache=True),
     }
 
-    def sweep_serial(engine, loops):
+    def sweep(engine, loops):
         send = engine.send
         for _ in range(loops):
             for probe in probes:
                 send(probe)
 
-    def sweep_batched(engine, loops):
-        send_many = engine.send_many
-        for _ in range(loops):
-            for start in range(0, len(probes), BATCH_CHUNK):
-                send_many(probes[start:start + BATCH_CHUNK])
-
-    sweeps = {"serial": sweep_serial, "fastpath": sweep_serial,
-              "batched": sweep_batched}
-
     rep_seconds = {lane: [] for lane in engines}
     gc_was_enabled = gc.isenabled()
     for lane, engine in engines.items():
-        sweeps[lane](engine, 1)  # warmup: routing BFS + (if enabled) memo
+        sweep(engine, 1)  # warmup: routing BFS + (if enabled) memo
     for _ in range(reps):
         for lane, engine in engines.items():
             engine.stats = EngineStats()
             gc.collect()
             gc.disable()
             started = time.perf_counter()
-            sweeps[lane](engine, LANE_LOOPS[lane])
+            sweep(engine, LANE_LOOPS[lane])
             rep_seconds[lane].append(time.perf_counter() - started)
             if gc_was_enabled:
                 gc.enable()
@@ -165,20 +147,14 @@ def engine_probe_rates(network, targets, reps: int = 5) -> dict:
             "path_cache_misses": engine.stats.path_cache_misses,
             "hit_rate": round(engine.stats.path_cache_hits / max(1, sent), 4),
         }
-        if lane == "batched":
-            lanes[lane]["batches"] = engine.stats.batches
-            lanes[lane]["batched_probes"] = engine.stats.batched_probes
-            lanes[lane]["batch_chunk"] = BATCH_CHUNK
     return lanes
 
 
 def serial_survey(network, targets, path_cache: bool, metrics=None,
-                  batch_window: int = 0, stop_set=None,
-                  vantage: str = "utdallas"):
+                  stop_set=None, vantage: str = "utdallas"):
     engine = Engine(network.topology, policy=network.policy,
                     path_cache=path_cache)
-    tool = TraceNET(engine, vantage, batch_window=batch_window,
-                    stop_set=stop_set)
+    tool = TraceNET(engine, vantage, stop_set=stop_set)
     runner = SurveyRunner(tool, metrics=metrics)
     started = time.perf_counter()
     runner.run(targets)
@@ -194,10 +170,6 @@ def serial_survey(network, targets, path_cache: bool, metrics=None,
         "path_cache": path_cache,
         "engine_path_cache_hits": engine.stats.path_cache_hits,
     }
-    if batch_window:
-        lane["batch_window"] = batch_window
-        lane["engine_batches"] = engine.stats.batches
-        lane["engine_batched_probes"] = engine.stats.batched_probes
     if stop_set is not None:
         lane["suppressed"] = tool.prober.stats.suppressed
         lane["stop_set"] = stop_set.counters()
@@ -327,7 +299,7 @@ def scale_lane(interfaces: int, target_count: int = 50,
     construction (``validate=False`` skips the O(interfaces) flood fill —
     the same profiles are validated once by the scale smoke), the
     interned lazy routing table (one BFS per destination subnet,
-    LRU-bounded), and the exact batched collection pipeline.  Reports
+    LRU-bounded), and the serial collection pipeline.  Reports
     build and survey wall clock, probes/sec, BFS count, and the process
     peak RSS.
     """
@@ -342,7 +314,7 @@ def scale_lane(interfaces: int, target_count: int = 50,
                      for address in addresses)[:target_count]
     vantage = sorted(network.vantages)[0]
     engine = Engine(topology, policy=network.policy, path_cache=True)
-    tool = TraceNET(engine, vantage, batch_window=1)
+    tool = TraceNET(engine, vantage)
     runner = SurveyRunner(tool)
     survey_started = time.perf_counter()
     runner.run(targets)
@@ -392,11 +364,11 @@ def scale_smoke(interfaces: int = 100_000, target_count: int = 50,
 
     Builds the smaller scale profile (structural validation *on* — this is
     the lane that proves the generated topology is well-formed), surveys
-    the same 50 targets serially and through the exact batched pipeline
-    (window=1, metrics registry + probe-economy auditor attached), and
-    asserts the two archives serialize to the same bytes with a clean
-    auditor.  The result lands in ``BENCH_scale_smoke.json`` for CI to
-    archive.
+    the same 50 targets with the engine's resolved-path memo on (metrics
+    registry + probe-economy auditor attached) and off (the plain
+    hop-by-hop walk, the reference), and asserts the two archives
+    serialize to the same bytes with a clean auditor.  The result lands in
+    ``BENCH_scale_smoke.json`` for CI to archive.
     """
     build_started = time.perf_counter()
     network = build_internet(seed=seed, profiles=scale_profiles(interfaces))
@@ -405,12 +377,12 @@ def scale_smoke(interfaces: int = 100_000, target_count: int = 50,
     targets = sorted(address for addresses in grouped.values()
                      for address in addresses)[:target_count]
     vantage = sorted(network.vantages)[0]
-    serial_lane, serial_archive = serial_survey(
-        network, targets, path_cache=True, vantage=vantage)
     registry = MetricsRegistry()
-    batched_lane, batched_archive = serial_survey(
+    memo_lane, memo_archive = serial_survey(
         network, targets, path_cache=True, metrics=registry,
-        batch_window=1, vantage=vantage)
+        vantage=vantage)
+    walk_lane, walk_archive = serial_survey(
+        network, targets, path_cache=False, vantage=vantage)
     result = {
         "bench": "scale_smoke",
         "seed": seed,
@@ -419,19 +391,19 @@ def scale_smoke(interfaces: int = 100_000, target_count: int = 50,
         "subnets": len(network.topology.subnets),
         "build_seconds": round(build_seconds, 2),
         "targets": len(targets),
-        "survey": {"serial": serial_lane, "batched": batched_lane},
-        "batched_equals_serial_bytes": (archive_bytes(serial_archive)
-                                        == archive_bytes(batched_archive)),
+        "survey": {"memo": memo_lane, "walk": walk_lane},
+        "memo_equals_walk_bytes": (archive_bytes(memo_archive)
+                                   == archive_bytes(walk_archive)),
         "overhead_violations": registry.value("overhead_violations_total"),
         "peak_rss_bytes": peak_rss_bytes(),
     }
     with open(SCALE_SMOKE_PATH, "w") as handle:
         json.dump(result, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    assert result["batched_equals_serial_bytes"], (
-        "scale smoke: batched archive is not byte-identical to serial")
+    assert result["memo_equals_walk_bytes"], (
+        "scale smoke: memo archive is not byte-identical to the walk's")
     assert result["overhead_violations"] == 0, (
-        "scale smoke: the probe-economy auditor flagged the batched survey")
+        "scale smoke: the probe-economy auditor flagged the memo survey")
     return result
 
 
@@ -446,7 +418,6 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
     engine_lanes = engine_probe_rates(network, targets)
     engine_serial = engine_lanes["serial"]
     engine_fast = engine_lanes["fastpath"]
-    engine_batched = engine_lanes["batched"]
     counters = counters_overhead(network, targets)
     survey_slow, _ = serial_survey(network, targets, path_cache=False)
     survey_fast, serial_archive = serial_survey(network, targets,
@@ -458,12 +429,6 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
     survey_metered, metered_archive = serial_survey(network, targets,
                                                     path_cache=True,
                                                     metrics=registry)
-    # Batched pipeline, exact mode: batch_window=1 routes every ladder
-    # probe through send_many without changing the probe stream, so the
-    # archive must serialize byte-for-byte equal to the serial lane's.
-    survey_batched, batched_archive = serial_survey(network, targets,
-                                                    path_cache=True,
-                                                    batch_window=1)
     # Stop-set mode: probe-economy-changing by design (probes only go
     # down), map-equal on the reference networks.
     stop_set = StopSet()
@@ -474,8 +439,6 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
                                                         workers=workers)
     parallel_equal = archives_equivalent(serial_archive, parallel_archive)
     metered_equal = archives_equivalent(serial_archive, metered_archive)
-    batched_bytes_equal = (archive_bytes(serial_archive)
-                           == archive_bytes(batched_archive))
     stopset_equal = archives_equivalent(serial_archive, stopset_archive)
     instrumentation_overhead = round(
         1 - (survey_metered["probes_per_sec"]
@@ -483,8 +446,6 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
 
     speedup = (engine_fast["probes_per_sec"]
                / max(1e-9, engine_serial["probes_per_sec"]))
-    batched_speedup = (engine_batched["probes_per_sec"]
-                       / max(1e-9, engine_serial["probes_per_sec"]))
     result = {
         "bench": "survey_throughput",
         "topology": "internet2",
@@ -495,14 +456,11 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
         "probes_per_sec": {
             "serial": engine_serial["probes_per_sec"],
             "fastpath": engine_fast["probes_per_sec"],
-            "batched": engine_batched["probes_per_sec"],
             "parallel": survey_parallel["cold_probes_per_sec"],
             "parallel_warm": survey_parallel["warm_probes_per_sec"],
         },
         "fastpath_speedup": round(speedup, 2),
-        "batched_speedup": round(batched_speedup, 2),
-        "engine": {"serial": engine_serial, "fastpath": engine_fast,
-                   "batched": engine_batched},
+        "engine": {"serial": engine_serial, "fastpath": engine_fast},
         "counters_only": counters,
         # Fractional rate cost when only counter sinks are subscribed:
         # every producer takes the type-only tally path.
@@ -514,15 +472,11 @@ def run(smoke: bool = False, workers: int = 2) -> dict:
             "serial": survey_slow,
             "fastpath": survey_fast,
             "instrumented": survey_metered,
-            "batched": survey_batched,
             "stopset": survey_stopset,
             "parallel": survey_parallel,
         },
         "parallel_equals_serial": parallel_equal,
         "instrumented_equals_serial": metered_equal,
-        # batch_window=1 must preserve the probe stream exactly: the
-        # serialized archives (probe counts included) are compared as bytes.
-        "batched_equals_serial_bytes": batched_bytes_equal,
         # Stop sets change the probe economy, not the map.
         "stopset_equals_serial": stopset_equal,
         "stopset_probes_saved": (survey_fast["probes"]
@@ -555,9 +509,6 @@ def check(result: dict, smoke: bool) -> None:
         "parallel archive diverged from the serial archive")
     assert result["instrumented_equals_serial"], (
         "attaching metrics changed the collected archive")
-    assert result["batched_equals_serial_bytes"], (
-        "batch_window=1 changed the probe stream: batched archive is not "
-        "byte-identical to the serial archive")
     assert result["stopset_equals_serial"], (
         "stop sets changed the collected map, not just the probe economy")
     assert result["stopset_probes_saved"] > 0, (
@@ -565,17 +516,12 @@ def check(result: dict, smoke: bool) -> None:
         f"(saved {result['stopset_probes_saved']})")
     assert result["engine"]["fastpath"]["hit_rate"] > 0, (
         "fast path never hit — cache not engaged")
-    assert result["engine"]["batched"]["batches"] > 0, (
-        "batched lane never dispatched through send_many")
     assert result["overhead_violations"] == 0, (
         "the reference survey tripped the probe-economy auditor")
     session = result["metrics"]["metrics"]["counters"]
     backend = result["metrics"]["backend"]["gauges"]
     assert session["probes_sent_total"] == backend["engine_probes_sent"], (
         "event-stream probe count diverged from the engine's own counter")
-    assert result["batched_speedup"] > 1.0, (
-        f"send_many is not faster than per-probe send "
-        f"({result['batched_speedup']}x)")
     if not smoke:
         assert result["fastpath_speedup"] >= 2.0, (
             f"fast path is only {result['fastpath_speedup']}x serial")
@@ -618,10 +564,12 @@ def main(argv=None) -> int:
         result = scale_smoke()
         print(f"scale smoke: {result['interfaces_requested']} interfaces, "
               f"{result['routers']} routers built in "
-              f"{result['build_seconds']}s; batched survey sent "
-              f"{result['survey']['batched']['probes']} probes "
+              f"{result['build_seconds']}s; memo survey sent "
+              f"{result['survey']['memo']['probes']} probes in "
+              f"{result['survey']['memo']['seconds']}s, walk "
+              f"{result['survey']['walk']['seconds']}s "
               f"(archive bytes equal: "
-              f"{result['batched_equals_serial_bytes']}, "
+              f"{result['memo_equals_walk_bytes']}, "
               f"auditor violations: {result['overhead_violations']})")
         print(f"wrote {SCALE_SMOKE_PATH}")
         return 0
@@ -632,13 +580,10 @@ def main(argv=None) -> int:
     print(f"targets: {result['targets']}  (smoke={result['smoke']})")
     print(f"engine probes/sec: serial {rates['serial']:.0f} "
           f"-> fastpath {rates['fastpath']:.0f} "
-          f"({result['fastpath_speedup']}x) "
-          f"-> batched {rates['batched']:.0f} "
-          f"({result['batched_speedup']}x)")
+          f"({result['fastpath_speedup']}x)")
     print(f"survey probes/sec: serial "
           f"{result['survey']['serial']['probes_per_sec']:.0f} "
-          f"-> fastpath {result['survey']['fastpath']['probes_per_sec']:.0f} "
-          f"-> batched {result['survey']['batched']['probes_per_sec']:.0f}")
+          f"-> fastpath {result['survey']['fastpath']['probes_per_sec']:.0f}")
     print(f"parallel probes/sec: cold {rates['parallel']:.0f} "
           f"-> warm {rates['parallel_warm']:.0f} "
           f"({result['survey']['parallel']['workers']} workers, "

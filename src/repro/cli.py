@@ -51,6 +51,7 @@ from .metrics import (
     render_prometheus,
     stats_from_journal,
 )
+from .metrics.analytics import _collector_kwargs
 from .netsim import Engine, Protocol, format_ip, ip
 from .topogen import build_internet, figures, geant, internet2
 from .transport import (
@@ -166,8 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--max-attempts", type=int, default=3, metavar="N",
                         help="lease attempts per shard before the job fails")
     submit.add_argument("--tenant", default="default")
-    submit.add_argument("--batch-window", type=int, default=0, metavar="N",
-                        help="per-shard probe batching window")
     submit.add_argument("--stop-sets", action="store_true",
                         help="enable Doubletree stop sets per shard")
     submit.add_argument("--radar", action="store_true",
@@ -347,13 +346,6 @@ def _add_transport_options(command: argparse.ArgumentParser) -> None:
     command.add_argument("--metrics-format", choices=("json", "prometheus"),
                          default="json",
                          help="metrics file format (default: json)")
-    command.add_argument("--batch-window", type=int, default=0,
-                         metavar="N",
-                         help="dispatch ladder/sweep probes through the "
-                              "transport batch API, up to N per batch "
-                              "(1 keeps the probe stream identical to the "
-                              "serial path, > 1 is speculative; default: "
-                              "0, serial per-probe loop)")
     command.add_argument("--stop-sets", action="store_true",
                          help="Doubletree stop sets: suppress re-probing of "
                               "path prefixes already traced this session "
@@ -407,24 +399,9 @@ def _write_spans(tracer, args) -> None:
 def _collector_options(args) -> dict:
     """The probe-pipeline options shared by trace/survey (journal metadata)."""
     options = {}
-    window = getattr(args, "batch_window", 0) or 0
-    if window >= 1:
-        options["batch_window"] = window
     if getattr(args, "stop_sets", False):
         options["stop_sets"] = True
     return options
-
-
-def _collector_kwargs(options: dict) -> dict:
-    """TraceNET keyword arguments for a :func:`_collector_options` payload."""
-    kwargs = {}
-    if options.get("batch_window"):
-        kwargs["batch_window"] = options["batch_window"]
-    if options.get("stop_sets"):
-        from .probing import StopSet
-
-        kwargs["stop_set"] = StopSet()
-    return kwargs
 
 
 def cmd_trace(args) -> int:
@@ -527,7 +504,6 @@ def cmd_survey(args) -> int:
             network.topology, network.policy, "utdallas",
             workers=max(1, args.workers),
             checkpoint_dir=args.checkpoint_dir,
-            batch_window=max(0, args.batch_window),
             use_stop_sets=args.stop_sets)
         outcome = runner.run(target_list)
         subnets = outcome.archive.subnets
@@ -733,7 +709,6 @@ def cmd_submit(args) -> int:
         return 2
     spec = ShardSpec.from_network(
         network.topology, network.policy, "utdallas",
-        batch_window=max(0, args.batch_window),
         use_stop_sets=args.stop_sets)
     radar = None
     if args.radar:

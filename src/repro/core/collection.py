@@ -72,34 +72,31 @@ def collect_hop(prober: Prober, destination: int, ttl: int,
     response = prober.indirect_probe(destination, ttl, phase=PHASE_TRACE,
                                      flow_id=flow_id)
     observation = classify_response(ttl, response)
+    _note_hop(prober, destination, observation)
+    return observation
+
+
+def _note_hop(prober: Prober, destination: int,
+              observation: HopObservation) -> None:
+    """Emit (or tally) the :class:`HopObserved` for a consumed hop."""
     events = prober.events
     if events:
         if events.wants(HopObserved):
             events.emit(HopObserved(
                 destination=destination,
-                ttl=ttl,
+                ttl=observation.ttl,
                 kind=observation.kind.value,
                 address=observation.address,
             ))
         else:
             events.tally(HopObserved)
-    return observation
 
 
 class HopPipeline:
-    """Batched + stop-set-aware hop supply for one trace's TTL ladder.
+    """Stop-set- and churn-aware hop supply for one trace's TTL ladder.
 
-    Two orthogonal accelerations over the serial ``collect_hop`` loop:
-
-    * **Batching**: the ladder's next ``window`` TTLs are dispatched
-      through ``Prober.probe_many`` in one transport round.  Observations
-      are still consumed (and :class:`HopObserved` emitted) strictly in
-      TTL order, so the archive is built from the same observation
-      sequence.  With ``window=1`` the probe stream is byte-identical to
-      the serial loop — only the dispatch goes through the batch API.
-      With ``window > 1`` the probe stream may run ahead of the consumer,
-      which makes that a documented probe-economy-changing mode (a trace
-      that stops early has already paid for its window).
+    Each hop not prepared in advance is fetched live with one
+    ``collect_hop`` probe, in TTL order, exactly like the serial loop.
 
     * **Stop sets**: before probing, the remembered path toward the
       destination's prefix is *verified* with one probe at its deepest
@@ -113,12 +110,10 @@ class HopPipeline:
     """
 
     def __init__(self, prober: Prober, destination: int, max_hops: int,
-                 window: int = 1, stop_set: Optional[StopSet] = None,
-                 churn=None):
+                 stop_set: Optional[StopSet] = None, churn=None):
         self.prober = prober
         self.destination = destination
         self.max_hops = max_hops
-        self.window = max(1, window)
         self.stop_set = stop_set
         self.churn = churn
         #: Hop contradictions detected against pre-mutation state.
@@ -173,7 +168,7 @@ class HopPipeline:
     def _check_epoch(self) -> None:
         """Quarantine prepared observations when the network mutated.
 
-        Anything buffered (speculative window) or served-from-memory (stop
+        Anything buffered (the verified hop) or served-from-memory (stop
         set) before the mutation describes the *previous* network.  Those
         observations move to the stale table: when the ladder reaches their
         TTL it re-probes live — cache bypassed, after a retry-policy beat
@@ -220,17 +215,7 @@ class HopPipeline:
         stale = self._stale.pop(ttl, None)
         if stale is not None:
             observation = self._revalidate(ttl, stale)
-            events = self.prober.events
-            if events:
-                if events.wants(HopObserved):
-                    events.emit(HopObserved(
-                        destination=self.destination,
-                        ttl=ttl,
-                        kind=observation.kind.value,
-                        address=observation.address,
-                    ))
-                else:
-                    events.tally(HopObserved)
+            _note_hop(self.prober, self.destination, observation)
             return observation
         served = self._served.pop(ttl, None)
         if served is not None:
@@ -250,35 +235,10 @@ class HopPipeline:
                     ))
                 else:
                     events.tally(ProbeSuppressed)
-                if events.wants(HopObserved):
-                    events.emit(HopObserved(
-                        destination=self.destination,
-                        ttl=ttl,
-                        kind=served.kind.value,
-                        address=served.address,
-                    ))
-                else:
-                    events.tally(HopObserved)
+            _note_hop(prober, self.destination, served)
             return served
         buffered = self._buffer.pop(ttl, None)
         if buffered is None:
-            ttls = [t for t in range(ttl, min(ttl + self.window,
-                                              self.max_hops + 1))
-                    if t not in self._buffer and t not in self._served]
-            responses = self.prober.probe_many(
-                [(self.destination, t) for t in ttls], phase=PHASE_TRACE)
-            for t, response in zip(ttls, responses):
-                self._buffer[t] = classify_response(t, response)
-            buffered = self._buffer.pop(ttl)
-        events = self.prober.events
-        if events:
-            if events.wants(HopObserved):
-                events.emit(HopObserved(
-                    destination=self.destination,
-                    ttl=ttl,
-                    kind=buffered.kind.value,
-                    address=buffered.address,
-                ))
-            else:
-                events.tally(HopObserved)
+            return collect_hop(self.prober, self.destination, ttl)
+        _note_hop(self.prober, self.destination, buffered)
         return buffered

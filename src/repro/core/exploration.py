@@ -16,12 +16,7 @@ from typing import Optional, Set
 from ..events import SubnetGrown, SubnetShrunk
 from ..netsim.addressing import Prefix
 from ..probing.prober import Prober
-from .heuristics import (
-    PHASE_EXPLORATION,
-    ExplorationState,
-    Verdict,
-    evaluate_candidate,
-)
+from .heuristics import ExplorationState, Verdict, evaluate_candidate
 from .positioning import SubnetPosition
 from .results import ObservedSubnet
 
@@ -32,16 +27,12 @@ DEFAULT_MIN_PREFIX_LENGTH = 20
 def explore_subnet(prober: Prober, position: SubnetPosition,
                    min_prefix_length: int = DEFAULT_MIN_PREFIX_LENGTH,
                    disabled_rules: frozenset = frozenset(),
-                   audit: "Optional[list]" = None,
-                   batch_window: int = 1) -> ObservedSubnet:
+                   audit: "Optional[list]" = None) -> ObservedSubnet:
     """Run Algorithm 1 around a positioned pivot; return the observed subnet.
 
     ``disabled_rules`` (e.g. ``frozenset({"H7", "H8"})``) turns heuristics
     off for ablation studies; ``audit``, when a list, receives every
-    (candidate, judgement) pair the pipeline produced.  ``batch_window > 1``
-    prefetches each level's H2 sweep probes in transport batches of that
-    size (speculative: an early stop-and-shrink has already paid for the
-    current chunk, so probe counts can exceed the serial path's).
+    (candidate, judgement) pair the pipeline produced.
     """
     state = ExplorationState(
         prober=prober,
@@ -62,8 +53,7 @@ def explore_subnet(prober: Prober, position: SubnetPosition,
     try:
         for level in range(31, min_prefix_length - 1, -1):
             block = Prefix.containing(position.pivot, level)
-            shrunk = _explore_level(state, block, members, tested,
-                                    batch_window=batch_window)
+            shrunk = _explore_level(state, block, members, tested)
             if shrunk is not None:
                 observed_length = min(level + 1, 32)
                 _shrink(members, state, position.pivot, observed_length)
@@ -140,32 +130,13 @@ def unpositioned_subnet(prober: Prober, address: int, hop: int) -> ObservedSubne
 
 
 def _explore_level(state: ExplorationState, block: Prefix,
-                   members: Set[int], tested: Set[int],
-                   batch_window: int = 1) -> Optional[str]:
+                   members: Set[int], tested: Set[int]) -> Optional[str]:
     """Probe every untested candidate in ``block``.
 
     Returns the rule name that demanded stop-and-shrink, or None when the
-    level completed cleanly.  With ``batch_window > 1`` the level's H2
-    probes (one per candidate, at the pivot distance) are prefetched in
-    chunks of that size; the per-candidate pipeline then answers H2 from
-    the response cache, so heuristic order and verdicts are unchanged.
+    level completed cleanly.
     """
     candidates = [c for c in block.addresses() if c not in tested]
-    if batch_window > 1:
-        for start in range(0, len(candidates), batch_window):
-            chunk = candidates[start:start + batch_window]
-            state.prober.probe_many(
-                [(candidate, state.pivot_distance) for candidate in chunk],
-                phase=PHASE_EXPLORATION)
-            stop = _judge_candidates(state, chunk, members, tested)
-            if stop is not None:
-                return stop
-        return None
-    return _judge_candidates(state, candidates, members, tested)
-
-
-def _judge_candidates(state: ExplorationState, candidates,
-                      members: Set[int], tested: Set[int]) -> Optional[str]:
     for candidate in candidates:
         tested.add(candidate)
         judgement = evaluate_candidate(state, candidate)

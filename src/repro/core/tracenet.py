@@ -54,16 +54,9 @@ class TraceNET:
         budget: optional probe budget shared by all traces of this instance.
         events: session-event bus shared with the prober; defaults to a
             fresh bus reachable as ``tool.events``.
-        batch_window: 0 (the default) keeps the serial per-probe loop.
-            1 dispatches every ladder probe through the transport batch API
-            one at a time — the probe stream (and thus the archive) stays
-            byte-identical to the serial path.  > 1 additionally batches
-            that many upcoming TTLs (and exploration candidate sweeps) per
-            transport round — a speculative, probe-economy-changing mode:
-            a trace that stops early has already paid for its window.
         stop_set: a shared :class:`~repro.probing.StopSet` enabling
             Doubletree-style suppression of already-traced path prefixes;
-            also probe-economy-changing (probes only ever go down), map-equal
+            probe-economy-changing (probes only ever go down), map-equal
             on the reference networks.
     """
 
@@ -77,7 +70,6 @@ class TraceNET:
                  budget: Optional[ProbeBudget] = None,
                  disabled_rules: frozenset = frozenset(),
                  events: Optional[EventBus] = None,
-                 batch_window: int = 0,
                  stop_set: Optional[StopSet] = None):
         self.transport = as_transport(network)
         self.events = events if events is not None else EventBus()
@@ -91,7 +83,6 @@ class TraceNET:
         self.reuse_subnets = reuse_subnets
         self.anonymous_gap_limit = anonymous_gap_limit
         self.disabled_rules = disabled_rules
-        self.batch_window = max(0, batch_window)
         self.stop_set = stop_set
         self._subnets: List[ObservedSubnet] = []
         self._member_index: Dict[int, ObservedSubnet] = {}
@@ -140,9 +131,8 @@ class TraceNET:
         anonymous_streak = 0
         seen_addresses = set()
         pipeline: Optional[HopPipeline] = None
-        if self.batch_window >= 1 or self.stop_set is not None:
+        if self.stop_set is not None:
             pipeline = HopPipeline(self.prober, destination, self.max_hops,
-                                   window=max(1, self.batch_window),
                                    stop_set=self.stop_set,
                                    churn=self._churn)
 
@@ -277,7 +267,6 @@ class TraceNET:
                     return known
             subnet = explore_subnet(self.prober, position,
                                     min_prefix_length=self.min_prefix_length,
-                                    disabled_rules=self.disabled_rules,
-                                    batch_window=self.batch_window)
+                                    disabled_rules=self.disabled_rules)
         self.register_subnet(subnet)
         return subnet

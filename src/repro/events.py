@@ -85,19 +85,6 @@ class ProbeSuppressed(SessionEvent):
 
 
 @dataclass(frozen=True, slots=True)
-class ProbeBatchSent(SessionEvent):
-    """One transport batch dispatched via ``send_many`` (wire probes only).
-
-    The per-probe :class:`ProbeSent` events still fire — this event carries
-    the batching shape (how many probes shared one transport round-trip)
-    for the ``probe_batches_total`` / ``probe_batch_size`` metrics.
-    """
-
-    size: int
-    phase: Optional[str]
-
-
-@dataclass(frozen=True, slots=True)
 class HopObserved(SessionEvent):
     """Trace-collection mode classified the answer at one TTL."""
 
@@ -291,7 +278,7 @@ class ProbeRetried(SessionEvent):
 EVENT_TYPES: Dict[str, Type[SessionEvent]] = {
     cls.__name__: cls
     for cls in (
-        ProbeSent, CacheHit, ProbeSuppressed, ProbeBatchSent, HopObserved,
+        ProbeSent, CacheHit, ProbeSuppressed, HopObserved,
         SubnetPositioned, HeuristicFired, SubnetShrunk, SubnetGrown,
         TraceStarted, TraceFinished, CheckpointWritten, SurveyProgressed,
         OverheadViolation, TopologyMutated, TraceInconsistent,

@@ -62,12 +62,12 @@ def instrumented_collection(transport: ProbeTransport, vantage: str,
     Exactly one of ``destination`` (a single tracenet session) and
     ``targets`` (a survey) must be given.  The transport's backend counters
     are captured into the registry's backend scope after the run.
-    ``collector_options`` (``batch_window``, ``stop_sets``,
-    ``stop_prefix_length``) rebuilds the collector the journal was recorded
-    with — a batched or stop-set journal replays only under the same
-    options, since they change the probe stream.  ``extra_sinks`` are
-    subscribed before the metrics pipeline — e.g. a
-    :class:`~repro.tracing.SpanBuilder` riding along an offline replay.
+    ``collector_options`` (``stop_sets``, ``stop_prefix_length``) rebuilds
+    the collector the journal was recorded with — a stop-set journal
+    replays only under the same options, since they change the probe
+    stream.  ``extra_sinks`` are subscribed before the metrics pipeline —
+    e.g. a :class:`~repro.tracing.SpanBuilder` riding along an offline
+    replay.
     """
     if (destination is None) == (targets is None):
         raise ValueError("pass exactly one of destination= or targets=")
@@ -89,13 +89,19 @@ def instrumented_collection(transport: ProbeTransport, vantage: str,
 
 
 def _collector_kwargs(options: Optional[Dict]) -> Dict:
-    """TraceNET keyword arguments from a journal's ``collector`` metadata."""
+    """TraceNET keyword arguments from a journal's ``collector`` metadata.
+
+    Journals recorded before probe batching was removed may carry a
+    ``batch_window``: 0 and 1 sent the serial probe stream and are
+    ignored; a wider window sent a speculative stream nothing can replay.
+    """
     if not options:
         return {}
+    if int(options.get("batch_window") or 0) > 1:
+        raise ValueError(
+            f"batch_window={options['batch_window']} is no longer "
+            f"supported: probe batching was removed")
     kwargs: Dict = {}
-    window = options.get("batch_window")
-    if window:
-        kwargs["batch_window"] = int(window)
     if options.get("stop_sets"):
         from ..probing.stopset import StopSet
 

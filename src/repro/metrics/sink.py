@@ -17,7 +17,6 @@ from ..events import (
     HeuristicFired,
     HopObserved,
     OverheadViolation,
-    ProbeBatchSent,
     ProbeRetried,
     ProbeSent,
     ProbeSuppressed,
@@ -40,14 +39,11 @@ SUBNET_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 SUBNET_PROBE_BUCKETS = (4, 8, 16, 32, 64, 128, 256, 512)
 TRACE_HOP_BUCKETS = (1, 2, 4, 8, 12, 16, 24, 32)
 TRACE_PROBE_BUCKETS = (8, 16, 32, 64, 128, 256, 512, 1024)
-BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
 _HELP = {
     "probes_sent_total": "Wire probes sent (reconciles with Engine.stats.probes_sent)",
     "probe_cache_hits_total": "Probes answered from the prober response cache",
     "probes_suppressed_total": "Probes never sent (stop-set redundancy elimination)",
-    "probe_batches_total": "Transport batches dispatched through send_many",
-    "probe_batch_size": "Wire probes per transport batch",
     "probe_responses_total": "Wire probes that got an answer",
     "probe_silent_total": "Wire probes that got silence",
     "probe_phase_total": "Wire probes by algorithm phase",
@@ -106,10 +102,7 @@ class MetricsSink:
         self._responses = registry.counter("probe_responses_total")
         self._silent = registry.counter("probe_silent_total")
         self._cache_hits = registry.counter("probe_cache_hits_total")
-        self._batches = registry.counter("probe_batches_total")
         self._ttl_hist = registry.histogram("probe_ttl", buckets=TTL_BUCKETS)
-        self._batch_hist = registry.histogram("probe_batch_size",
-                                              buckets=BATCH_SIZE_BUCKETS)
         # Labelled counters the per-probe handlers touch, cached by value.
         self._proto_counters: dict = {}
         self._phase_counters: dict = {}
@@ -118,7 +111,6 @@ class MetricsSink:
             ProbeSent: self._on_probe_sent,
             CacheHit: self._on_cache_hit,
             ProbeSuppressed: self._on_probe_suppressed,
-            ProbeBatchSent: self._on_probe_batch,
             HopObserved: self._on_hop_observed,
             SubnetPositioned: self._on_subnet_positioned,
             HeuristicFired: self._on_heuristic_fired,
@@ -185,10 +177,6 @@ class MetricsSink:
 
     def _on_probe_suppressed(self, event: ProbeSuppressed) -> None:
         self.registry.inc("probes_suppressed_total", reason=event.reason)
-
-    def _on_probe_batch(self, event: ProbeBatchSent) -> None:
-        self._batches.inc()
-        self._batch_hist.observe(event.size)
 
     def _on_hop_observed(self, event: HopObserved) -> None:
         self.registry.inc("hops_observed_total", kind=event.kind)

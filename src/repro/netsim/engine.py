@@ -66,10 +66,6 @@ class EngineStats:
     path_cache_hits: int = 0
     path_cache_misses: int = 0
     path_cache_uncacheable: int = 0
-    #: Batch-API accounting: calls to :meth:`Engine.send_many` and the
-    #: probes they carried (each probe also counts in ``probes_sent``).
-    batches: int = 0
-    batched_probes: int = 0
 
     def record_probe(self, protocol: Protocol) -> None:
         self.probes_sent += 1
@@ -84,8 +80,6 @@ class EngineStats:
             "engine_path_cache_hits": self.path_cache_hits,
             "engine_path_cache_misses": self.path_cache_misses,
             "engine_path_cache_uncacheable": self.path_cache_uncacheable,
-            "engine_batches": self.batches,
-            "engine_batched_probes": self.batched_probes,
         }
         for protocol, count in sorted(self.per_protocol.items(),
                                       key=lambda item: item[0].value):
@@ -240,15 +234,7 @@ class Engine:
         return response
 
     def send_many(self, probes) -> List[Optional[Response]]:
-        """Inject a batch of probes; responses positionally, None for silence.
-
-        Exactly :meth:`send` in a loop — the clock ticks once per probe in
-        order, rate-limit buckets and IP-ID counters advance identically.
-        This is the simulator's native half of the transport ``send_many``
-        API; it only adds the batch accounting.
-        """
-        self.stats.batches += 1
-        self.stats.batched_probes += len(probes)
+        """Kept only as a name the perfbench layer tracer wraps; unused."""
         return [self.send(probe) for probe in probes]
 
     def clear_path_cache(self) -> None:

@@ -117,9 +117,6 @@ class ShardSpec:
     min_prefix_length: int = DEFAULT_MIN_PREFIX_LENGTH
     explore: bool = True
     reuse_subnets: bool = True
-    #: Probe batching window for each shard's collector (0 = serial loop,
-    #: 1 = batch API with a serial-identical stream, > 1 = speculative).
-    batch_window: int = 0
     #: Doubletree stop sets: each shard fills a local set; the merge folds
     #: them into one global set on the result.  Probe-economy-changing.
     use_stop_sets: bool = False
@@ -190,7 +187,6 @@ class ShardSpec:
                         min_prefix_length=self.min_prefix_length,
                         explore=self.explore,
                         reuse_subnets=self.reuse_subnets,
-                        batch_window=self.batch_window,
                         stop_set=stop_set,
                         events=events)
 

@@ -1,8 +1,7 @@
 """Probing layer: the raw-socket/scapy stand-in used by every tool.
 
 Provides :class:`~repro.probing.prober.Prober` (direct/indirect probes with
-retry, caching and metering — one at a time or batched through
-``probe_many``), probe budgets and statistics, and the Doubletree-style
+retry, caching and metering), probe budgets and statistics, and the Doubletree-style
 :class:`~repro.probing.stopset.StopSet` for cross-trace redundancy
 elimination.
 """

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..events import CacheHit, EventBus, ProbeBatchSent, ProbeRetried, ProbeSent
+from ..events import CacheHit, EventBus, ProbeRetried, ProbeSent
 from ..netsim.packet import DEFAULT_TTL, Probe, Protocol, Response
-from ..transport import as_transport, send_batch
+from ..transport import as_transport
 from .budget import ProbeBudget, ProbeStats
 
 CacheKey = Tuple[int, int, Protocol]
@@ -151,147 +151,8 @@ class Prober:
     def probe_many(self, requests: Sequence[Tuple[int, int]],
                    phase: Optional[str] = None
                    ) -> List[Optional[Response]]:
-        """Probe a batch of independent ``(dst, ttl)`` pairs in one dispatch.
-
-        Per-probe semantics are exactly :meth:`probe`'s — the cache is
-        consulted (and populated) identically, the same stats counters move,
-        per-probe :class:`~repro.events.ProbeSent` / ``CacheHit`` events
-        fire, silence is retried up to ``retries`` times, the budget is
-        charged per wire probe — but the uncached probes travel to the
-        transport together through ``send_many``, and each dispatched wire
-        batch additionally emits :class:`~repro.events.ProbeBatchSent`.
-        A batch of one is indistinguishable from a :meth:`probe` call plus
-        its batch event.
-        """
-        results: List[Optional[Response]] = [None] * len(requests)
-        cacheable = self.use_cache
-        pending: List[int] = []
-        dup_of: Dict[int, int] = {}
-        first_seen: Dict[CacheKey, int] = {}
-        for index, (dst, ttl) in enumerate(requests):
-            if ttl > DEFAULT_TTL:
-                raise ValueError(
-                    f"probe TTL {ttl} exceeds DEFAULT_TTL ({DEFAULT_TTL}); "
-                    f"use direct_probe() for direct probing")
-            key = (dst, ttl, self.protocol)
-            if cacheable:
-                if key in self._cache:
-                    self.stats.record_cache_hit()
-                    events = self.events
-                    if events:
-                        if events.wants(CacheHit):
-                            events.emit(
-                                CacheHit(dst=dst, ttl=ttl, phase=phase))
-                        else:
-                            events.tally(CacheHit)
-                    results[index] = self._cache[key]
-                    continue
-                if key in first_seen:
-                    # A (dst, ttl) repeated within the batch: the serial
-                    # path would answer the repeat from the cache entry the
-                    # first occurrence stores — resolve it after the wire.
-                    dup_of[index] = first_seen[key]
-                    continue
-                first_seen[key] = index
-            pending.append(index)
-
-        if pending:
-            responses = self._send_many_once(
-                [requests[i] for i in pending], phase)
-            for index, response in zip(pending, responses):
-                results[index] = response
-            # Re-probe silence, batch-wide, with per-probe retry budgets.
-            for attempt in range(1, self.retries + 1):
-                silent = [i for i in pending if results[i] is None]
-                if not silent:
-                    break
-                self.stats.retries += len(silent)
-                for i in silent:
-                    dst, ttl = requests[i]
-                    self._note_retry(dst, ttl, attempt, phase)
-                self.backoff(self.retry_policy.backoff_for(attempt))
-                responses = self._send_many_once(
-                    [requests[i] for i in silent], phase)
-                for index, response in zip(silent, responses):
-                    results[index] = response
-            if cacheable:
-                for index in pending:
-                    dst, ttl = requests[index]
-                    self._cache[(dst, ttl, self.protocol)] = results[index]
-
-        for index, primary in dup_of.items():
-            self.stats.record_cache_hit()
-            events = self.events
-            if events:
-                if events.wants(CacheHit):
-                    dst, ttl = requests[index]
-                    events.emit(CacheHit(dst=dst, ttl=ttl, phase=phase))
-                else:
-                    events.tally(CacheHit)
-            results[index] = results[primary]
-        return results
-
-    def _send_many_once(self, requests: Sequence[Tuple[int, int]],
-                        phase: Optional[str]) -> List[Optional[Response]]:
-        """One wire round for a batch: budget, dispatch, stats, events.
-
-        Budget charges happen per probe, in order, *before* the dispatch;
-        when the budget runs out mid-batch the prefix already paid for is
-        still sent and accounted (matching the serial path, where earlier
-        probes have hit the wire before the failing charge), then the
-        exception propagates.
-        """
-        probes: List[Probe] = []
-        charge_error: Optional[Exception] = None
-        for dst, ttl in requests:
-            if self.budget is not None:
-                try:
-                    self.budget.charge()
-                except Exception as exc:
-                    charge_error = exc
-                    break
-            self.stats.record_sent(phase)
-            probes.append(Probe(
-                src=self.vantage_address,
-                dst=dst,
-                ttl=ttl,
-                protocol=self.protocol,
-                flow_id=self.flow_id,
-            ))
-        responses: List[Optional[Response]] = []
-        if probes:
-            responses = send_batch(self.transport, probes)
-            events = self.events
-            # One wants() check per batch: when nobody needs the payload
-            # (counters only) the whole batch tallies as two dict adds.
-            wants_probe = bool(events) and events.wants(ProbeSent)
-            record_outcome = self.stats.record_outcome
-            for probe, response in zip(probes, responses):
-                record_outcome(response is not None)
-                if wants_probe:
-                    events.emit(ProbeSent(
-                        dst=probe.dst,
-                        ttl=probe.ttl,
-                        protocol=self.protocol.value,
-                        flow_id=probe.flow_id,
-                        phase=phase,
-                        answered=response is not None,
-                        response_kind=(response.kind.value
-                                       if response is not None else None),
-                        response_source=(response.source
-                                         if response is not None else None),
-                    ))
-            if events:
-                if not wants_probe:
-                    events.tally(ProbeSent, len(probes))
-                if events.wants(ProbeBatchSent):
-                    events.emit(
-                        ProbeBatchSent(size=len(probes), phase=phase))
-                else:
-                    events.tally(ProbeBatchSent)
-        if charge_error is not None:
-            raise charge_error
-        return responses
+        """Kept only as a name the perfbench layer tracer wraps; unused."""
+        return [self.probe(dst, ttl, phase=phase) for dst, ttl in requests]
 
     def _note_retry(self, dst: int, ttl: int, attempt: int,
                     phase: Optional[str]) -> None:

@@ -122,9 +122,18 @@ class SurveyJob:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "SurveyJob":
+        spec = dict(payload["spec"])
+        # Specs queued before probe batching was removed carry a
+        # batch_window: 0 and 1 sent the serial probe stream; a wider
+        # window sent a speculative stream that can no longer be re-run.
+        window = spec.pop("batch_window", 0)
+        if window > 1:
+            raise ValueError(
+                f"job {payload['job_id']}: batch_window={window} is no "
+                f"longer supported: probe batching was removed")
         return cls(
             job_id=payload["job_id"],
-            spec=ShardSpec(**payload["spec"]),
+            spec=ShardSpec(**spec),
             targets=list(payload["targets"]),
             shards=payload.get("shards", 2),
             checkpoint_dir=payload.get("checkpoint_dir"),

@@ -22,8 +22,7 @@ Attribution rules (all derived from guaranteed event orderings):
 * a :class:`~repro.events.TraceStarted` opens a trace span; every event up
   to its :class:`~repro.events.TraceFinished` belongs to it;
 * trace-collection-phase probe events open (or join) the **hop span** for
-  their TTL — batched pipelines probe several TTLs ahead, so hop spans are
-  keyed by TTL, not by arrival order;
+  their TTL — hop spans are keyed by TTL, not by arrival order;
 * a :class:`~repro.events.HopObserved` marks its hop span as the *current*
   hop: subsequent positioning/exploration events (the growth that hop
   triggered) attach under it, one phase span each;
@@ -49,7 +48,6 @@ from ..events import (
     DegradedResult,
     HeuristicFired,
     HopObserved,
-    ProbeBatchSent,
     ProbeSent,
     ProbeSuppressed,
     SessionEvent,
@@ -179,7 +177,6 @@ class SpanBuilder:
             ProbeSent: self._on_probe,
             CacheHit: self._on_cache_hit,
             ProbeSuppressed: self._on_suppressed,
-            ProbeBatchSent: self._on_batch,
             HopObserved: self._on_hop,
             SubnetPositioned: self._on_positioned,
             HeuristicFired: self._on_heuristic,
@@ -363,17 +360,6 @@ class SpanBuilder:
 
     def _on_suppressed(self, event: ProbeSuppressed) -> None:
         self._count_probe("suppressed", event.phase, event.ttl)
-
-    def _on_batch(self, event: ProbeBatchSent) -> None:
-        # Batches span several TTLs/candidates: attribute to the phase
-        # span (exploration/positioning) or the trace itself (ladder).
-        if event.phase in (PHASE_POSITIONING, PHASE_EXPLORATION):
-            span = self._phase_span(event.phase)
-        else:
-            span = self._attach_point()
-            self._touch(span)
-        span.count("batches")
-        span.count("batched_probes", event.size)
 
     def _on_hop(self, event: HopObserved) -> None:
         self._drain_pending()

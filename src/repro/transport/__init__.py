@@ -18,7 +18,6 @@ from .base import (
     as_transport,
     backend_metrics,
     collect_backend_metrics,
-    send_batch,
 )
 from .churn import MutatingTransport
 from .fault import FaultInjectingTransport
@@ -45,5 +44,4 @@ __all__ = [
     "as_transport",
     "backend_metrics",
     "collect_backend_metrics",
-    "send_batch",
 ]

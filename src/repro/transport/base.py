@@ -11,8 +11,7 @@ collectors backend-agnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol as TypingProtocol, Sequence, \
-    runtime_checkable
+from typing import Optional, Protocol as TypingProtocol, runtime_checkable
 
 from ..netsim.packet import Probe, Response
 
@@ -41,16 +40,6 @@ class ProbeTransport(TypingProtocol):
         """Emit one probe; return the response seen at the vantage, or None."""
         ...
 
-    def send_many(self, probes: Sequence[Probe]) -> List[Optional[Response]]:
-        """Emit a batch of probes; responses positionally, None for silence.
-
-        Semantically identical to ``[self.send(p) for p in probes]`` — the
-        batch is a *pipelining* hint, not a reordering license: backends
-        must process probes in order so that journals, fault-injection RNG
-        draws, and simulator clocks match the serial path exactly.
-        """
-        ...
-
     def capabilities(self) -> TransportCapabilities:
         """Describe this backend."""
         ...
@@ -65,19 +54,6 @@ class ProbeTransport(TypingProtocol):
     def close(self) -> None:
         """Release backend resources (files, sockets); idempotent."""
         ...
-
-
-def send_batch(transport, probes: Sequence[Probe]) -> List[Optional[Response]]:
-    """Dispatch a probe batch through ``send_many`` when the backend has it.
-
-    Third-party transports predating the batch API (anything with just
-    ``send``) degrade to a per-probe loop with identical semantics, so
-    callers batch unconditionally and never sniff capabilities.
-    """
-    many = getattr(transport, "send_many", None)
-    if callable(many):
-        return list(many(probes))
-    return [transport.send(probe) for probe in probes]
 
 
 def backend_metrics(transport) -> dict:
@@ -123,11 +99,5 @@ def as_transport(network) -> ProbeTransport:
         from .simulator import SimulatorTransport
 
         return SimulatorTransport(network)
-    # Transport-shaped but pre-batch-API: a send/capabilities/source_address
-    # trio without send_many (send_batch degrades to a loop for these).
-    if not isinstance(network, type) and hasattr(network, "send") \
-            and hasattr(network, "capabilities") \
-            and hasattr(network, "source_address"):
-        return network
     raise TypeError(
         f"expected a ProbeTransport or a netsim Engine, got {type(network).__name__}")

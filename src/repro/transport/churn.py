@@ -22,12 +22,12 @@ identically live and replayed, degradation marking replays exactly too.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from ..events import EventBus, TopologyMutated
 from ..netsim.dynamics import MutationSchedule, NetworkDynamics
 from ..netsim.packet import Probe, Response
-from .base import TransportCapabilities, backend_metrics, send_batch
+from .base import TransportCapabilities, backend_metrics
 
 
 class MutatingTransport:
@@ -77,42 +77,12 @@ class MutatingTransport:
                     kind=mutation.kind, target=mutation.target,
                     detail=dict(mutation.detail) or None))
 
-    def _next_boundary(self) -> Optional[int]:
-        """Probe count at which the next mutation fires (None when done)."""
-        if self._cursor >= len(self.schedule.mutations):
-            return None
-        return self.schedule.mutations[self._cursor].epoch
-
     # -- ProbeTransport ----------------------------------------------------
 
     def send(self, probe: Probe) -> Optional[Response]:
         self._advance()
         self.probes += 1
         return self.inner.send(probe)
-
-    def send_many(self, probes: Sequence[Probe]
-                  ) -> List[Optional[Response]]:
-        """Batch dispatch, split at epoch boundaries.
-
-        A mutation due mid-batch fires between the two probes it falls
-        between — exactly where a serial probe loop would have fired it —
-        so batched and serial runs see the identical mutated network.
-        """
-        responses: List[Optional[Response]] = []
-        start = 0
-        total = len(probes)
-        while start < total:
-            self._advance()
-            boundary = self._next_boundary()
-            if boundary is None:
-                stop = total
-            else:
-                stop = min(total, start + max(1, boundary - self.probes))
-            chunk = probes[start:stop]
-            self.probes += len(chunk)
-            responses.extend(send_batch(self.inner, chunk))
-            start = stop
-        return responses
 
     def capabilities(self) -> TransportCapabilities:
         inner_caps = self.inner.capabilities()

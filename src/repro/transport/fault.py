@@ -20,10 +20,10 @@ and consumes no randomness at all.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..netsim.packet import Probe, Response
-from .base import ProbeTransport, TransportCapabilities, send_batch
+from .base import ProbeTransport, TransportCapabilities
 
 
 class FaultInjectingTransport:
@@ -77,8 +77,6 @@ class FaultInjectingTransport:
         self._rng = random.Random(seed)
         self._in_burst = False
         self.sends = 0
-        self.batches = 0
-        self.batched_probes = 0
         self.injected_drops = 0
         self.blackholed = 0
         self.responses_suppressed = 0
@@ -94,24 +92,6 @@ class FaultInjectingTransport:
     def send(self, probe: Probe) -> Optional[Response]:
         response = self.inner.send(probe)
         self.sends += 1
-        return self._apply_faults(probe, response)
-
-    def send_many(self, probes: Sequence[Probe]) -> List[Optional[Response]]:
-        """Batch through the inner backend, then inject faults per probe.
-
-        Faults are applied in probe order so the RNG draw sequence — and
-        therefore which responses get swallowed — is identical to sending
-        the same probes one at a time with the same seed.
-        """
-        self.batches += 1
-        self.batched_probes += len(probes)
-        responses = send_batch(self.inner, probes)
-        self.sends += len(probes)
-        return [self._apply_faults(probe, response)
-                for probe, response in zip(probes, responses)]
-
-    def _apply_faults(self, probe: Probe,
-                      response: Optional[Response]) -> Optional[Response]:
         if probe.dst in self.blackholes:
             self.blackholed += 1
             if response is not None:
@@ -166,8 +146,6 @@ class FaultInjectingTransport:
         metrics = backend_metrics(self.inner)
         metrics.update({
             "fault_sends": self.sends,
-            "fault_batches": self.batches,
-            "fault_batched_probes": self.batched_probes,
             "fault_injected_drops": self.injected_drops,
             "fault_blackholed": self.blackholed,
             "fault_responses_suppressed": self.responses_suppressed,

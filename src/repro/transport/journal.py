@@ -13,11 +13,11 @@ journaled exchange fails loudly instead of returning a plausible answer.
 from __future__ import annotations
 
 import json
-from typing import Dict, IO, List, Optional, Sequence, Union
+from typing import Dict, IO, List, Optional, Union
 
 from ..netsim.addressing import format_ip, parse_ip
 from ..netsim.packet import Probe, Response, ResponseType
-from .base import ProbeTransport, TransportCapabilities, send_batch
+from .base import ProbeTransport, TransportCapabilities
 
 JOURNAL_FORMAT = "tracenet-journal"
 JOURNAL_VERSION = 1
@@ -98,8 +98,6 @@ class RecordingTransport:
             self._fp = destination
             self._owns_fp = False
         self.exchanges = 0
-        self.batches = 0
-        self.batched_probes = 0
         self._known_vantages: Dict[str, int] = {}
         self._write({
             "kind": "header",
@@ -125,28 +123,6 @@ class RecordingTransport:
                          if response is not None else None),
         })
         return response
-
-    def send_many(self, probes: Sequence[Probe]
-                  ) -> List[Optional[Response]]:
-        """Journal a batch as its equivalent sequence of exchange records.
-
-        Batches are a pipelining detail, not a wire-format concern: the
-        journal stays a flat in-order exchange stream, so a batched run's
-        journal replays under a serial collector and vice versa.
-        """
-        self.batches += 1
-        self.batched_probes += len(probes)
-        responses = send_batch(self.inner, probes)
-        for probe, response in zip(probes, responses):
-            self.exchanges += 1
-            self._write({
-                "kind": "exchange",
-                "seq": self.exchanges,
-                "probe": probe_to_dict(probe),
-                "response": (response_to_dict(response)
-                             if response is not None else None),
-            })
-        return responses
 
     def capabilities(self) -> TransportCapabilities:
         inner = self.inner.capabilities()
@@ -174,8 +150,6 @@ class RecordingTransport:
 
         metrics = backend_metrics(self.inner)
         metrics["journal_exchanges_recorded"] = self.exchanges
-        metrics["journal_batches_recorded"] = self.batches
-        metrics["journal_batched_probes"] = self.batched_probes
         return metrics
 
     def close(self) -> None:
@@ -214,7 +188,6 @@ class ReplayTransport:
             records = _parse_journal(source)
         self.header, self._vantages, self._exchanges = records
         self.cursor = 0
-        self.batches = 0
 
     @property
     def metadata(self) -> Dict:
@@ -241,12 +214,6 @@ class ReplayTransport:
             return None
         return response_from_dict(payload, probe)
 
-    def send_many(self, probes: Sequence[Probe]
-                  ) -> List[Optional[Response]]:
-        """Serve a batch from the flat exchange stream, strictly in order."""
-        self.batches += 1
-        return [self.send(probe) for probe in probes]
-
     def capabilities(self) -> TransportCapabilities:
         return TransportCapabilities(
             name="replay",
@@ -268,7 +235,6 @@ class ReplayTransport:
         return {
             "replay_exchanges_served": self.cursor,
             "replay_exchanges_remaining": self.remaining,
-            "replay_batches_served": self.batches,
         }
 
     def close(self) -> None:

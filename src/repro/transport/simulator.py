@@ -28,17 +28,13 @@ class SimulatorTransport:
 
     def __init__(self, engine: Engine):
         self.engine = engine
-        self.batches = 0
-        self.batched_probes = 0
 
     def send(self, probe: Probe) -> Optional[Response]:
         return self.engine.send(probe)
 
     def send_many(self, probes: Sequence[Probe]) -> List[Optional[Response]]:
-        """Batch-serve memoized response plans in one engine call."""
-        self.batches += 1
-        self.batched_probes += len(probes)
-        return self.engine.send_many(probes)
+        """Kept only as a name the perfbench layer tracer wraps; unused."""
+        return [self.send(probe) for probe in probes]
 
     def capabilities(self) -> TransportCapabilities:
         return _SIMULATOR_CAPS
@@ -54,13 +50,10 @@ class SimulatorTransport:
         return hosts[host_id].address
 
     def backend_metrics(self) -> dict:
-        """Engine counters, fast-path accounting included — the only route
+        """Engine counters — the only route
         by which ``engine.stats`` reaches the metrics layer (which is
         sealed off from ``netsim.engine``)."""
-        metrics = self.engine.stats.snapshot()
-        metrics["transport_batches"] = self.batches
-        metrics["transport_batched_probes"] = self.batched_probes
-        return metrics
+        return self.engine.stats.snapshot()
 
     def close(self) -> None:
         """The engine holds no external resources."""

@@ -2,9 +2,8 @@
 
 The robustness contract under test: a network mutating *mid-survey* must
 never leave the engine serving stale cached paths (differential tests
-against a freshly built engine), must keep the batched probe path
-byte-identical to the serial one across mutation epochs, and must keep
-every fault/retry/stop-set knob deterministic and replayable.
+against a freshly built engine), and must keep every
+fault/retry/stop-set knob deterministic and replayable.
 """
 
 from __future__ import annotations
@@ -198,8 +197,8 @@ class TestEngineInvalidation:
         engine.policy.reset_rate_limiters()
         twin = self._fresh_twin(engine, dynamics)
         battery = _battery(engine.topology, source, record_route=True)
-        assert _response_keys(engine.send_many(battery)) == \
-            _response_keys(twin.send_many(battery))
+        assert _response_keys([engine.send(p) for p in battery]) == \
+            _response_keys([twin.send(p) for p in battery])
 
 
 class TestMutatingTransport:
@@ -209,19 +208,6 @@ class TestMutatingTransport:
         dynamics = NetworkDynamics(engine, schedule)
         return MutatingTransport(SimulatorTransport(engine), schedule,
                                  dynamics=dynamics, events=events), engine
-
-    def test_batched_equals_serial_across_epochs(self):
-        """send_many split at mutation boundaries == one-by-one sends."""
-        network = geant.build(seed=2010)
-        serial, engine_a = self._build(network)
-        batched, _ = self._build(geant.build(seed=2010))
-        source = engine_a.topology.hosts["utdallas"].address
-        battery = _battery(engine_a.topology, source)
-        serial_responses = [serial.send(p) for p in battery]
-        batched_responses = batched.send_many(battery)
-        assert _response_keys(serial_responses) == \
-            _response_keys(batched_responses)
-        assert serial.mutation_epoch == batched.mutation_epoch > 0
 
     def test_events_derive_from_schedule(self, geant_network):
         """Live apply and dynamics-free replay emit the same events."""
@@ -266,9 +252,6 @@ class _NullTransport:
 
     def send(self, probe):
         return None
-
-    def send_many(self, probes):
-        return [None] * len(probes)
 
 
 class _DevNull:

@@ -1,9 +1,9 @@
-"""Differential tests for ``Engine.send_many`` against ``send`` and the walk.
+"""Differential tests for the engine's memo replay against the plain walk.
 
-The contract: ``send_many`` batches, a plain ``send`` loop (both over the
-resolved-path memo) and a cache-off engine (the plain hop-by-hop walk, the
-reference) are packet-for-packet identical — same responses, same IP-ID
-streams, same rate-limit bucket drains, same record-route stamps.
+The contract: a ``send`` loop over the resolved-path memo and a cache-off
+engine (the plain hop-by-hop walk, the reference) are packet-for-packet
+identical — same responses, same IP-ID streams, same rate-limit bucket
+drains, same record-route stamps.
 """
 
 from conftest import address_on
@@ -17,11 +17,6 @@ from repro.netsim import (
     ResponsePolicy,
     TopologyBuilder,
 )
-
-#: Batch size: shorter than most probe sequences below, so batches split
-#: TTL sweeps and first-contact misses land mid-batch.
-CHUNK = 32
-
 
 def chain(n=6, policy=None, **engine_kwargs):
     builder = TopologyBuilder("chain")
@@ -68,24 +63,13 @@ def ladder(topo, dsts, ttls=range(1, 7), repeats=3, flows=(0,),
     ]
 
 
-def run_lane(lane, engine, probes, chunk=CHUNK):
-    """Send ``probes`` one by one (``walk``/``serial``) or in batches."""
-    if lane != "batched":
-        return [engine.send(p) for p in probes]
-    responses = []
-    for start in range(0, len(probes), chunk):
-        responses.extend(engine.send_many(probes[start:start + chunk]))
-    return responses
-
-
 #: lane -> engine options; ``walk`` is the cache-off reference.
 LANES = (("walk", {"path_cache": False}),
-         ("serial", {}),
-         ("batched", {}))
+         ("serial", {}))
 
 
-def dispatch(make_engine, probes_of, chunk=CHUNK):
-    """Run one probe sequence through the walk, send and send_many lanes.
+def dispatch(make_engine, probes_of):
+    """Run one probe sequence through the walk and memo ``send`` lanes.
 
     ``make_engine`` must build everything fresh per call (rate-limit
     buckets are stateful across engines sharing a policy object).
@@ -93,18 +77,11 @@ def dispatch(make_engine, probes_of, chunk=CHUNK):
     streams, engines = {}, {}
     for lane, kwargs in LANES:
         engine, topo = make_engine(**kwargs)
-        responses = run_lane(lane, engine, probes_of(topo), chunk)
+        responses = [engine.send(p) for p in probes_of(topo)]
         streams[lane] = [signature(r) for r in responses]
         engines[lane] = engine
     assert streams["serial"] == streams["walk"]
-    assert streams["batched"] == streams["walk"]
-    serial, batched = engines["serial"].stats, engines["batched"].stats
-    assert engines["batched"].clock == engines["serial"].clock
-    assert batched.batched_probes == batched.probes_sent
-    for counter in ("probes_sent", "responses_returned", "silent_drops",
-                    "path_cache_hits", "path_cache_misses",
-                    "path_cache_uncacheable", "per_protocol"):
-        assert getattr(batched, counter) == getattr(serial, counter), counter
+    assert engines["serial"].clock == engines["walk"].clock
     return streams, engines
 
 
@@ -114,14 +91,14 @@ class TestBulkEquivalence:
             chain,
             lambda topo: ladder(topo, [("R5", "R4"), ("R3", "R2"),
                                        ("R2", "R1")]))
-        assert engines["batched"].stats.path_cache_hits > 0
+        assert engines["serial"].stats.path_cache_hits > 0
 
     def test_multiple_flows_keyed_separately(self):
         _, engines = dispatch(
             chain,
             lambda topo: ladder(topo, [("R5", "R4"), ("R4", "R3")],
                                 flows=(0, 3, 7)))
-        assert engines["batched"].stats.path_cache_misses == 6
+        assert engines["serial"].stats.path_cache_misses == 6
 
     def test_rate_limited_bucket_drains_identically(self):
         def limited(**kw):
@@ -159,18 +136,18 @@ class TestBulkEquivalence:
                                 record_route=(False, True)))
         # Record-route probes replay their stamps from the same memo.
         assert any(s is not None and s[4] for s in streams["walk"])
-        assert engines["batched"].stats.path_cache_hits > 0
+        assert engines["serial"].stats.path_cache_hits > 0
 
     def test_per_packet_balancer_preserves_rng_stream(self):
         streams, engines = dispatch(
             lambda **kw: diamond(LoadBalancingMode.PER_PACKET, **kw),
             lambda topo: ladder(topo, [("R5", "R4")], ttls=(2,),
                                 repeats=48))
-        responders = {s[2] for s in streams["batched"] if s is not None}
+        responders = {s[2] for s in streams["serial"] if s is not None}
         assert responders == {"R2", "R3"}
         # Per-packet flows are uncacheable: every probe after first
         # contact takes the walk, never the memo.
-        stats = engines["batched"].stats
+        stats = engines["serial"].stats
         assert stats.path_cache_hits == 0
         assert stats.path_cache_uncacheable == 47
 
@@ -179,21 +156,21 @@ class TestBulkEquivalence:
             lambda **kw: diamond(LoadBalancingMode.PER_FLOW, **kw),
             lambda topo: ladder(topo, [("R5", "R4"), ("R4", "R5")],
                                 flows=(0, 5)))
-        stats = engines["batched"].stats
+        stats = engines["serial"].stats
         assert stats.path_cache_hits > 0
         assert stats.path_cache_uncacheable == 0
 
     def test_misses_interleaved_mid_batch(self):
-        # New destinations first appear in the middle of a batch, so
-        # send_many must answer first contacts between memo hits.
+        # New destinations first appear between memo hits, so the memo
+        # must answer first contacts in the middle of a warm stream.
         def probes_of(topo):
             warm = ladder(topo, [("R5", "R4")], repeats=8)
             cold = ladder(topo, [("R3", "R2")], repeats=1)
-            head, tail = warm[:CHUNK // 2], warm[CHUNK // 2:]
+            head, tail = warm[:16], warm[16:]
             return head + cold + tail
 
         _, engines = dispatch(chain, probes_of)
-        stats = engines["batched"].stats
+        stats = engines["serial"].stats
         assert stats.path_cache_hits > 0
         assert stats.path_cache_misses == 2
 
@@ -210,17 +187,16 @@ class TestRateLimitedNilOrdering:
             policy.silence_router("R2")
             engine, topo = chain(policy=policy, **kwargs)
             probes = ladder(topo, [("R5", "R4")], ttls=(2, 3), repeats=30)
-            responses = run_lane(lane, engine, probes)
+            responses = [engine.send(p) for p in probes]
             bucket = policy._rate_limiters["R2"]
             return ([signature(r) for r in responses],
                     (bucket.tokens, bucket.last_tick))
 
         runs = {lane: run(lane, kwargs) for lane, kwargs in LANES}
         walk_stream, walk_bucket = runs["walk"]
-        for lane in ("serial", "batched"):
-            stream, bucket = runs[lane]
-            assert stream == walk_stream, lane
-            assert bucket == walk_bucket, lane
+        stream, bucket = runs["serial"]
+        assert stream == walk_stream
+        assert bucket == walk_bucket
         # R2 never answers (silenced), deeper hops still do.
         assert all(s is None or s[2] != "R2" for s in walk_stream)
         assert any(s is not None for s in walk_stream)

@@ -158,6 +158,39 @@ class TestJobQueue:
         with pytest.raises(ValueError):
             JobQueue(path)
 
+    @staticmethod
+    def _with_batch_window(path, window):
+        """Rewrite a queue journal as if queued before batching was removed."""
+        with open(path, "r", encoding="utf-8") as fp:
+            records = [json.loads(line) for line in fp]
+        for record in records:
+            if record["record"] == "job":
+                record["job"]["spec"]["batch_window"] = window
+        with open(path, "w", encoding="utf-8") as fp:
+            for record in records:
+                fp.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def test_reopens_journal_with_retired_batch_window(self, spec, targets,
+                                                       tmp_path):
+        path = str(tmp_path / "queue.jsonl")
+        queue = JobQueue(path)
+        queue.submit(make_job(spec, targets))
+        queue.transition("job-0001", JobState.RUNNING)
+        self._with_batch_window(path, 0)
+        reopened = JobQueue(path)
+        assert reopened.get("job-0001").spec == spec
+        demoted = reopened.recover()
+        assert [job.job_id for job in demoted] == ["job-0001"]
+        assert JobQueue(path).get("job-0001").state is JobState.QUEUED
+
+    def test_refuses_speculative_batch_window(self, spec, targets,
+                                              tmp_path):
+        path = str(tmp_path / "queue.jsonl")
+        JobQueue(path).submit(make_job(spec, targets))
+        self._with_batch_window(path, 4)
+        with pytest.raises(ValueError, match="batch_window"):
+            JobQueue(path)
+
     def test_scenario_fingerprint_tracks_spec(self, spec, targets):
         job = make_job(spec, targets)
         same = make_job(spec, targets, job_id="job-0002")

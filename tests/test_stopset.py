@@ -7,6 +7,7 @@ import pytest
 from repro.core import TraceNET
 from repro.events import HopObserved, ProbeSuppressed
 from repro.metrics import MetricsRegistry, MetricsSink
+from repro.metrics.analytics import _collector_kwargs, stats_from_journal
 from repro.metrics.auditor import ProbeEconomyAuditor
 from repro.netsim import Engine
 from repro.parallel import (
@@ -17,6 +18,7 @@ from repro.probing import StopSet, merge_stop_sets
 from repro.probing.stopset import MIN_REMEMBERED_DEPTH
 from repro.runner import SurveyRunner
 from repro.topogen import geant, internet2
+from repro.transport import RecordingTransport, SimulatorTransport
 
 
 class TestStopSetUnit:
@@ -157,6 +159,49 @@ class TestStopSetCollection:
         assert registry.value("overhead_violations_total") == 0
         assert registry.value("probes_suppressed_total",
                               reason="stop-set") > 0
+
+    def test_offline_stats_replay_stop_set_journal(self, tmp_path):
+        # A journal recorded with stop sets carries the collector options
+        # in its metadata; the offline analytics rebuild the same
+        # collector, so the registry from the journal matches the live one.
+        network = internet2.build(seed=7)
+        targets = internet2.targets(network, seed=7)[:10]
+        journal = tmp_path / "stop-sets.jsonl"
+        engine = Engine(network.topology, policy=network.policy,
+                        path_cache=True)
+        recording = RecordingTransport(
+            SimulatorTransport(engine), str(journal),
+            metadata={"network": "internet2", "seed": 7,
+                      "vantage": "utdallas",
+                      "collector": {"stop_sets": True}})
+        tool = TraceNET(recording, "utdallas", stop_set=StopSet())
+        live = MetricsRegistry()
+        tool.events.subscribe(MetricsSink(live))
+        tool.events.subscribe(ProbeEconomyAuditor(tool.events))
+        SurveyRunner(tool).run(targets)
+        recording.close()
+
+        offline = stats_from_journal(str(journal), targets=targets)
+        assert offline.registry.snapshot()["counters"] == \
+            live.snapshot()["counters"]
+        assert live.value("probes_suppressed_total", reason="stop-set") > 0
+        assert offline.exchanges_remaining == 0
+
+
+class TestRetiredBatchWindow:
+    """Journal metadata written before probe batching was removed."""
+
+    @pytest.mark.parametrize("window", [0, 1])
+    def test_serial_identical_windows_are_ignored(self, window):
+        kwargs = _collector_kwargs({"batch_window": window,
+                                    "stop_sets": True,
+                                    "stop_prefix_length": 20})
+        assert set(kwargs) == {"stop_set"}
+        assert kwargs["stop_set"].prefix_length == 20
+
+    def test_speculative_window_is_refused(self):
+        with pytest.raises(ValueError, match="batch_window"):
+            _collector_kwargs({"batch_window": 4})
 
 
 class TestParallelStopSets:

