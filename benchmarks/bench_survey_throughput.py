@@ -169,6 +169,7 @@ def serial_survey(network, targets, path_cache: bool, metrics=None,
         "targets": len(targets),
         "path_cache": path_cache,
         "engine_path_cache_hits": engine.stats.path_cache_hits,
+        "engine_path_prefix_resolves": engine.stats.path_prefix_resolves,
     }
     if stop_set is not None:
         lane["suppressed"] = tool.prober.stats.suppressed
@@ -364,10 +365,11 @@ def scale_smoke(interfaces: int = 100_000, target_count: int = 50,
 
     Builds the smaller scale profile (structural validation *on* — this is
     the lane that proves the generated topology is well-formed), surveys
-    the same 50 targets with the engine's resolved-path memo on (metrics
-    registry + probe-economy auditor attached) and off (the plain
-    hop-by-hop walk, the reference), and asserts the two archives
-    serialize to the same bytes with a clean auditor.  The result lands in
+    the same 50 targets with the engine's resolved-path memo on and off
+    (the plain hop-by-hop walk, the reference), each with its own metrics
+    registry and probe-economy auditor attached so the two lanes pay the
+    same instrumentation, and asserts the two archives serialize to the
+    same bytes with a clean auditor on both.  The result lands in
     ``BENCH_scale_smoke.json`` for CI to archive.
     """
     build_started = time.perf_counter()
@@ -377,12 +379,15 @@ def scale_smoke(interfaces: int = 100_000, target_count: int = 50,
     targets = sorted(address for addresses in grouped.values()
                      for address in addresses)[:target_count]
     vantage = sorted(network.vantages)[0]
-    registry = MetricsRegistry()
+    registries = {"memo": MetricsRegistry(), "walk": MetricsRegistry()}
     memo_lane, memo_archive = serial_survey(
-        network, targets, path_cache=True, metrics=registry,
+        network, targets, path_cache=True, metrics=registries["memo"],
         vantage=vantage)
     walk_lane, walk_archive = serial_survey(
-        network, targets, path_cache=False, vantage=vantage)
+        network, targets, path_cache=False, metrics=registries["walk"],
+        vantage=vantage)
+    violations = {lane: registry.value("overhead_violations_total")
+                  for lane, registry in registries.items()}
     result = {
         "bench": "scale_smoke",
         "seed": seed,
@@ -394,7 +399,7 @@ def scale_smoke(interfaces: int = 100_000, target_count: int = 50,
         "survey": {"memo": memo_lane, "walk": walk_lane},
         "memo_equals_walk_bytes": (archive_bytes(memo_archive)
                                    == archive_bytes(walk_archive)),
-        "overhead_violations": registry.value("overhead_violations_total"),
+        "overhead_violations": violations,
         "peak_rss_bytes": peak_rss_bytes(),
     }
     with open(SCALE_SMOKE_PATH, "w") as handle:
@@ -402,8 +407,10 @@ def scale_smoke(interfaces: int = 100_000, target_count: int = 50,
         handle.write("\n")
     assert result["memo_equals_walk_bytes"], (
         "scale smoke: memo archive is not byte-identical to the walk's")
-    assert result["overhead_violations"] == 0, (
-        "scale smoke: the probe-economy auditor flagged the memo survey")
+    for lane, count in violations.items():
+        assert count == 0, (
+            f"scale smoke: the probe-economy auditor flagged the {lane} "
+            f"survey ({count} violations)")
     return result
 
 
@@ -568,7 +575,8 @@ def main(argv=None) -> int:
               f"{result['survey']['memo']['probes']} probes in "
               f"{result['survey']['memo']['seconds']}s, walk "
               f"{result['survey']['walk']['seconds']}s "
-              f"(archive bytes equal: "
+              f"({result['survey']['memo']['engine_path_prefix_resolves']} "
+              f"prefix resolves; archive bytes equal: "
               f"{result['memo_equals_walk_bytes']}, "
               f"auditor violations: {result['overhead_violations']})")
         print(f"wrote {SCALE_SMOKE_PATH}")

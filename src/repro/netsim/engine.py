@@ -13,10 +13,8 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Tuple
-
-from dataclasses import replace
 
 from .packet import (
     ALIVE_RESPONSES,
@@ -28,7 +26,7 @@ from .packet import (
 )
 from .responsiveness import ResponsePolicy, fully_responsive
 from .router import DirectConfig, IndirectConfig, IpIdMode, Router
-from .routing import FlowKey, LoadBalancer, RoutingTable
+from .routing import FlowKey, LoadBalancer, LoadBalancingMode, RoutingTable
 from .topology import Host, Topology
 
 #: The engine has no numpy path; perfbench records this name.
@@ -60,12 +58,16 @@ class EngineStats:
     responses_returned: int = 0
     silent_drops: int = 0
     per_protocol: dict = field(default_factory=dict)
-    #: Resolved-path fast-path accounting: a miss walks the topology and
-    #: memoizes the path, a hit answers from the memo, an uncacheable probe
-    #: belongs to a flow crossing a per-packet load balancer.
+    #: Resolved-path fast-path accounting: a miss memoizes the path of a
+    #: first-contact (src, dst, protocol, flow), a hit answers from the
+    #: memo, an uncacheable probe belongs to a flow crossing a per-packet
+    #: load balancer.  A prefix resolve is one router walk toward a
+    #: destination subnet; the misses into an already walked subnet only
+    #: finish its shared prefix with their own terminal hop.
     path_cache_hits: int = 0
     path_cache_misses: int = 0
     path_cache_uncacheable: int = 0
+    path_prefix_resolves: int = 0
 
     def record_probe(self, protocol: Protocol) -> None:
         self.probes_sent += 1
@@ -80,6 +82,7 @@ class EngineStats:
             "engine_path_cache_hits": self.path_cache_hits,
             "engine_path_cache_misses": self.path_cache_misses,
             "engine_path_cache_uncacheable": self.path_cache_uncacheable,
+            "engine_path_prefix_resolves": self.path_prefix_resolves,
         }
         for protocol, count in sorted(self.per_protocol.items(),
                                       key=lambda item: item[0].value):
@@ -115,18 +118,21 @@ class ResponsePlan(NamedTuple):
     draws_bucket: bool
 
 
-@dataclass(frozen=True)
-class ResolvedPath:
+class ResolvedPath(NamedTuple):
     """The memoized router walk for one (src, dst, protocol, flow) flow.
 
     ``router_ids[i]`` is the i-th router the probe visits; ``incoming[i]``
     the address of the interface it arrived on (None at unknown entries);
     ``stamps[i]`` the record-route stamp the router adds when forwarding
-    (None when it adds none).  ``hop_plans[i]`` is the response plan when
-    the TTL expires at hop i and ``terminal_plan`` the plan past the last
-    hop; ``expiry_limit`` is the largest TTL that still expires in transit.
-    Rate limiters, IP-ID counters and the virtual clock are consulted live
-    at replay, so cached and walked probes stay identical packet for packet.
+    (None when it adds none; entries at or past ``terminal_stamp_upto``
+    are never read).  ``hop_plans[i]`` is the response plan when the TTL
+    expires at hop i and ``terminal_plan`` the plan past the last hop;
+    ``expiry_limit`` is the largest TTL that still expires in transit.
+    Every address of one destination subnet shares the four per-hop
+    tuples of its subnet's :class:`_PathPrefix`; only the terminal fields
+    are per address.  Rate limiters, IP-ID counters and the virtual clock
+    are consulted live at replay, so cached and walked probes stay
+    identical packet for packet.
     """
 
     router_ids: Tuple[str, ...]
@@ -138,6 +144,25 @@ class ResolvedPath:
     terminal_plan: Optional[ResponsePlan] = None
     expiry_limit: int = 0
     terminal_stamp_upto: int = 0
+
+
+class _PathPrefix(NamedTuple):
+    """The router walk toward one destination subnet, shared by its addresses.
+
+    Up to the first router attached to the destination subnet nothing on
+    the walk reads the destination address: forwarding is per subnet, the
+    TTL-Exceeded plans read only router, incoming address, protocol and
+    vantage, and a router owning the address is attached to its subnet.
+    ``dead_end`` is the whole path, already finished, when the walk ends
+    in NO_ROUTE or HOP_LIMIT; otherwise the last router is the attached
+    one and each address adds its own terminal (:meth:`Engine._finish`).
+    """
+
+    router_ids: Tuple[str, ...]
+    incoming: Tuple[Optional[int], ...]
+    stamps: Tuple[Optional[int], ...]
+    hop_plans: Tuple[Optional[ResponsePlan], ...]
+    dead_end: Optional[ResolvedPath] = None
 
 
 #: Cache sentinel: the flow crosses a per-packet balancer, never memoize it.
@@ -185,6 +210,10 @@ class Engine:
         # cheaper than the .value descriptor on the per-probe hot path.
         self._path_cache: Dict[Tuple[int, int, Protocol, int],
                                Optional[ResolvedPath]] = {}
+        # (src, destination subnet id or None, protocol, flow_id) -> the
+        # walk every address of that subnet shares, or _UNCACHEABLE.
+        self._prefix_cache: Dict[Tuple[int, Optional[str], Protocol, int],
+                                 Optional[_PathPrefix]] = {}
         # Mutation watch: memoized paths bake in the topology walk, the
         # policy's static response decisions and the balancer's per-flow
         # choices.  Any of the three changing mid-run (netsim.dynamics)
@@ -238,8 +267,10 @@ class Engine:
         return [self.send(probe) for probe in probes]
 
     def clear_path_cache(self) -> None:
-        """Forget every memoized path (e.g. after mutating the topology)."""
+        """Forget every memoized path and subnet prefix (e.g. after
+        mutating the topology)."""
         self._path_cache.clear()
+        self._prefix_cache.clear()
 
     def path_routers(self, src_host_id: str, dst: int) -> List[str]:
         """Ground-truth router path from a host toward ``dst`` (tests only).
@@ -351,10 +382,10 @@ class Engine:
         key = (probe.src, probe.dst, probe.protocol, probe.flow_id)
         entry = self._path_cache.get(key, _MISSING)
         if entry is _MISSING:
-            # First contact: resolve the flow once (side-effect free), then
-            # answer through the same replay every later hit takes.
+            # First contact: resolve the address once (side-effect free),
+            # then answer through the same replay every later hit takes.
             self.stats.path_cache_misses += 1
-            entry = self._path_cache[key] = self._resolve_path(probe)
+            entry = self._path_cache[key] = self._resolve(probe)
             if entry is _UNCACHEABLE:
                 return self._walk(probe, stamps)
             return self._replay(probe, entry, stamps)
@@ -364,21 +395,43 @@ class Engine:
         self.stats.path_cache_hits += 1
         return self._replay(probe, entry, stamps)
 
-    def _resolve_path(self, probe: Probe) -> Optional[ResolvedPath]:
-        """Walk to the terminal hop ignoring the probe's TTL, with no side
+    def _resolve(self, probe: Probe) -> Optional[ResolvedPath]:
+        """The memo entry of a first-contact address: its destination
+        subnet's shared prefix, walked once per (src, subnet, protocol,
+        flow), finished with this address's own terminal.  None when the
+        flow crosses a per-packet load balancer with a real choice."""
+        subnet = self.topology.subnet_containing(probe.dst)
+        subnet_id = subnet.subnet_id if subnet is not None else None
+        key = (probe.src, subnet_id, probe.protocol, probe.flow_id)
+        prefix = self._prefix_cache.get(key, _MISSING)
+        if prefix is _MISSING:
+            self.stats.path_prefix_resolves += 1
+            prefix, per_address = self._resolve_prefix(probe, subnet_id)
+            if not per_address:
+                self._prefix_cache[key] = prefix
+        if prefix is _UNCACHEABLE:
+            return _UNCACHEABLE
+        if prefix.dead_end is not None:
+            return prefix.dead_end
+        return self._finish(probe, prefix, subnet_id)
+
+    def _resolve_prefix(self, probe: Probe, subnet_id: Optional[str]
+                        ) -> Tuple[Optional[_PathPrefix], bool]:
+        """Walk toward ``subnet_id`` ignoring the probe's TTL, with no side
         effects: no rate-limit draws, no PRNG consumption, no stats.  The
-        static halves of every possible response (per-hop TTL-Exceeded and
-        the terminal delivery) are precomputed into plans here.  Returns
-        None when the flow crosses a per-packet load balancer with a real
-        choice (the path is random per packet and must not be memoized)."""
+        walk stops at the first router attached to the subnet, at a dead
+        end or at ``max_hops``; the TTL-Exceeded plan of every hop is
+        precomputed here.  Returns the prefix (None when the flow crosses a
+        per-packet load balancer with a real choice) and whether it is
+        good for this address only: a per-flow balancer choosing among
+        several next hops hashes the destination address."""
         host = self.topology.host_at(probe.src)
         if host is None:
             raise ValueError(f"probe source {probe.src} is not a registered host")
         flow = FlowKey(src=probe.src, dst=probe.dst,
                        protocol=probe.protocol.value, flow_id=probe.flow_id)
-        dest_subnet = self.topology.subnet_containing(probe.dst)
-
-        current = self.topology.routers[host.gateway_router_id]
+        routers = self.topology.routers
+        current = routers[host.gateway_router_id]
         incoming_address: Optional[int] = None
         entry_iface = current.interface_on(host.subnet_id)
         if entry_iface is not None:
@@ -387,63 +440,66 @@ class Engine:
         router_ids: List[str] = []
         incoming: List[Optional[int]] = []
         stamps: List[Optional[int]] = []
-
-        def done(terminal: PathTerminal, lan_subnet_id: Optional[str] = None
-                 ) -> ResolvedPath:
-            n = len(router_ids)
-            hop_plans = tuple(
-                self._plan_ttl_exceeded(probe, router_ids[i], incoming[i], host)
-                for i in range(n))
-            if terminal == PathTerminal.OWNS:
-                terminal_plan = self._plan_direct(probe, router_ids[-1])
-                expiry_limit = n - 1
-                stamp_upto = n - 1
-            elif terminal == PathTerminal.LAN:
-                terminal_plan = self._plan_lan(probe, router_ids[-1],
-                                               lan_subnet_id)
-                expiry_limit = n
-                stamp_upto = n
-            else:
-                terminal_plan = None
-                expiry_limit = n
-                stamp_upto = n
-            return ResolvedPath(router_ids=tuple(router_ids),
-                                incoming=tuple(incoming),
-                                stamps=tuple(stamps),
-                                terminal=terminal,
-                                lan_subnet_id=lan_subnet_id,
-                                hop_plans=hop_plans,
-                                terminal_plan=terminal_plan,
-                                expiry_limit=expiry_limit,
-                                terminal_stamp_upto=stamp_upto)
-
+        per_address = False
+        dead_end: Optional[PathTerminal] = PathTerminal.HOP_LIMIT
         for _ in range(self.max_hops):
-            router_ids.append(current.router_id)
+            router_id = current.router_id
+            router_ids.append(router_id)
             incoming.append(incoming_address)
-            if current.owns(probe.dst):
+            if subnet_id is None:
                 stamps.append(None)
-                return done(PathTerminal.OWNS)
-            if dest_subnet is not None and current.interface_on(dest_subnet.subnet_id):
-                iface = current.interface_on(dest_subnet.subnet_id)
-                stamps.append(iface.address if iface is not None else None)
-                return done(PathTerminal.LAN, dest_subnet.subnet_id)
-            if dest_subnet is None:
-                stamps.append(None)
-                return done(PathTerminal.NO_ROUTE)
-            hops = self.routing.next_hops(current.router_id, dest_subnet.subnet_id)
+                dead_end = PathTerminal.NO_ROUTE
+                break
+            attached = current.interface_on(subnet_id)
+            if attached is not None:
+                stamps.append(attached.address)
+                dead_end = None
+                break
+            hops = self.routing.next_hops(router_id, subnet_id)
             if not hops:
                 stamps.append(None)
-                return done(PathTerminal.NO_ROUTE)
-            choice = self.balancer.choose_stable(current.router_id, hops, flow)
+                dead_end = PathTerminal.NO_ROUTE
+                break
+            if len(hops) > 1 and (self.balancer.mode_of(router_id)
+                                  == LoadBalancingMode.PER_FLOW):
+                per_address = True
+            choice = self.balancer.choose_stable(router_id, hops, flow)
             if choice is None:
-                return None
+                return _UNCACHEABLE, per_address
             via_iface = current.interface_on(choice.via_subnet_id)
             stamps.append(via_iface.address if via_iface is not None else None)
-            next_router = self.topology.routers[choice.router_id]
-            next_iface = next_router.interface_on(choice.via_subnet_id)
+            current = routers[choice.router_id]
+            next_iface = current.interface_on(choice.via_subnet_id)
             incoming_address = next_iface.address if next_iface is not None else None
-            current = next_router
-        return done(PathTerminal.HOP_LIMIT)
+
+        prefix = _PathPrefix(
+            tuple(router_ids), tuple(incoming), tuple(stamps),
+            tuple(self._plan_ttl_exceeded(probe, router_id, address, host)
+                  for router_id, address in zip(router_ids, incoming)))
+        if dead_end is not None:
+            n = len(router_ids)
+            prefix = prefix._replace(dead_end=ResolvedPath(
+                prefix.router_ids, prefix.incoming, prefix.stamps, dead_end,
+                None, prefix.hop_plans, None, n, n))
+        return prefix, per_address
+
+    def _finish(self, probe: Probe, prefix: _PathPrefix,
+                subnet_id: str) -> ResolvedPath:
+        """One address's path from its subnet's prefix: the attached last
+        router either owns the address (it answers without decrementing
+        the TTL) or delivers across the LAN.  The prefix tuples are shared,
+        not copied."""
+        n = len(prefix.router_ids)
+        last_id = prefix.router_ids[-1]
+        if self.topology.routers[last_id].owns(probe.dst):
+            return ResolvedPath(prefix.router_ids, prefix.incoming,
+                                prefix.stamps, PathTerminal.OWNS, None,
+                                prefix.hop_plans,
+                                self._plan_direct(probe, last_id, subnet_id),
+                                n - 1, n - 1)
+        return ResolvedPath(prefix.router_ids, prefix.incoming, prefix.stamps,
+                            PathTerminal.LAN, subnet_id, prefix.hop_plans,
+                            self._plan_lan(probe, last_id, subnet_id), n, n)
 
     def _replay(self, probe: Probe, path: ResolvedPath,
                 stamps: Optional[List[int]]) -> Optional[Response]:
@@ -496,11 +552,11 @@ class Engine:
                             responder=router_id, ip_id_mode=router.ip_id_mode,
                             draws_bucket=True)
 
-    def _plan_direct(self, probe: Probe, router_id: str
+    def _plan_direct(self, probe: Probe, router_id: str, subnet_id: str
                      ) -> Optional[ResponsePlan]:
-        """Static half of :meth:`_direct_response` at the owning router."""
-        subnet = self.topology.subnet_containing(probe.dst)
-        if subnet is not None and self.policy.subnet_is_firewalled(subnet.subnet_id):
+        """Static half of :meth:`_direct_response` at the owning router;
+        ``subnet_id`` is the subnet containing the probed address."""
+        if self.policy.subnet_is_firewalled(subnet_id):
             return None
         if self.policy.interface_is_silent(probe.dst):
             return None
@@ -541,7 +597,7 @@ class Engine:
             return ResponsePlan(kind=ResponseType.HOST_UNREACHABLE,
                                 source=source, responder=last_router_id,
                                 ip_id_mode=router.ip_id_mode, draws_bucket=True)
-        return self._plan_direct(probe, iface.router_id)
+        return self._plan_direct(probe, iface.router_id, subnet_id)
 
     def _fill_stamps(self, probe: Probe, path: ResolvedPath, upto: int,
                      stamps: Optional[List[int]]) -> None:

@@ -123,6 +123,14 @@ def _gather(ptr, ind, nodes):
     return ind[_np.repeat(starts - before, counts) + _np.arange(total)]
 
 
+def _first_occurrences(values, slot):
+    """``values`` without repeats, using ``slot`` (one entry per node id)
+    as scratch instead of sorting."""
+    positions = _np.arange(values.size)
+    slot[values] = positions
+    return values[slot[values] == positions]
+
+
 class RoutingTable:
     """All-pairs router→subnet distances and ECMP next-hop sets.
 
@@ -259,6 +267,13 @@ class RoutingTable:
         distances = _np.full(len(self._router_ids), -1, dtype=_np.int32)
         subnet_seen = _np.zeros(len(self._subnet_ids), dtype=bool)
         subnet_seen[start] = True
+        # Dedupe scratch: one slot per node, written with each element's
+        # position; an element is kept when its slot still holds its own
+        # position (exactly one occurrence per value survives).  Linear,
+        # unlike the sort behind np.unique; the frontier order it leaves
+        # never changes the distances assigned per level.
+        router_slot = _np.empty(len(self._router_ids), dtype=_np.int64)
+        subnet_slot = _np.empty(len(self._subnet_ids), dtype=_np.int64)
         frontier = s2r_ind[s2r_ptr[start]:s2r_ptr[start + 1]]
         distances[frontier] = 0
         depth = 0
@@ -267,13 +282,13 @@ class RoutingTable:
             subs = subs[~subnet_seen[subs]]
             if not subs.size:
                 break
-            subs = _np.unique(subs)
+            subs = _first_occurrences(subs, subnet_slot)
             subnet_seen[subs] = True
             nbrs = _gather(s2r_ptr, s2r_ind, subs)
             nbrs = nbrs[distances[nbrs] < 0]
             if not nbrs.size:
                 break
-            frontier = _np.unique(nbrs)
+            frontier = _first_occurrences(nbrs, router_slot)
             depth += 1
             distances[frontier] = depth
         return distances
