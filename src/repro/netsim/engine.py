@@ -32,6 +32,20 @@ from .topology import Host, Topology
 #: The engine has no numpy path; perfbench records this name.
 _np = None
 
+#: IP-ID values are 16-bit; randrange(65536) draws 17 bits and rejects.
+_IP_ID_SPACE = 65536
+_IP_ID_BITS = _IP_ID_SPACE.bit_length()
+
+
+def _below(getrandbits, n: int, bits: int) -> int:
+    """``randrange(n)`` exactly as CPython draws it (``bits`` is
+    ``n.bit_length()``): the same values from the same stream, without
+    randrange's argument checks on the per-response path."""
+    value = getrandbits(bits)
+    while value >= n:
+        value = getrandbits(bits)
+    return value
+
 
 class UnassignedAddressBehavior(enum.Enum):
     """What the last-hop router does for an address with no interface."""
@@ -178,7 +192,6 @@ class Engine:
     """
 
     def __init__(self, topology: Topology,
-                 routing: Optional[RoutingTable] = None,
                  policy: Optional[ResponsePolicy] = None,
                  balancer: Optional[LoadBalancer] = None,
                  max_hops: int = 64,
@@ -189,7 +202,9 @@ class Engine:
                  ip_id_noise: int = 8,
                  path_cache: bool = True):
         self.topology = topology
-        self.routing = routing if routing is not None else RoutingTable(topology)
+        # This engine's view of the routing state every engine on the
+        # topology shares (it counts only the BFS runs this engine causes).
+        self.routing = RoutingTable(topology)
         self.policy = policy if policy is not None else fully_responsive()
         self.balancer = balancer if balancer is not None else LoadBalancer()
         self.max_hops = max_hops
@@ -200,8 +215,9 @@ class Engine:
         self._keep_wire_log = keep_wire_log
         # IP-ID state: per-responder shared counters (plus noise emulating
         # the router's other traffic) or per-packet random values.
-        self._ip_id_rng = random.Random(seed ^ 0x1D5EED)
+        self._ip_id_bits = random.Random(seed ^ 0x1D5EED).getrandbits
         self._ip_id_noise = max(0, ip_id_noise)
+        self._ip_id_noise_bits = self._ip_id_noise.bit_length()
         self._ip_id_counters: Dict[str, int] = {}
         # Resolved-path fast path: (src, dst, protocol, flow_id) -> the
         # memoized router walk, or _UNCACHEABLE for per-packet flows.
@@ -644,14 +660,16 @@ class Engine:
         """The IP identification value of the next packet ``responder_id``
         sends: a shared wrapping counter (with noise standing in for the
         router's other traffic) or a fresh random value."""
+        bits = self._ip_id_bits
         if mode == IpIdMode.RANDOM:
-            return self._ip_id_rng.randrange(65536)
+            return _below(bits, _IP_ID_SPACE, _IP_ID_BITS)
         current = self._ip_id_counters.get(responder_id)
         if current is None:
-            current = self._ip_id_rng.randrange(65536)
-        step = 1 + (self._ip_id_rng.randrange(self._ip_id_noise)
-                    if self._ip_id_noise else 0)
-        value = (current + step) % 65536
+            current = _below(bits, _IP_ID_SPACE, _IP_ID_BITS)
+        noise = self._ip_id_noise
+        step = 1 + (_below(bits, noise, self._ip_id_noise_bits)
+                    if noise else 0)
+        value = (current + step) % _IP_ID_SPACE
         self._ip_id_counters[responder_id] = value
         return value
 

@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import enum
 import random
+import threading
 import zlib
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .topology import Topology
+import numpy as _np
 
-try:  # numpy is a declared dependency; the pure-python BFS behaves
-    import numpy as _np  # identically and is the parity tests' reference
-except ImportError:  # pragma: no cover
-    _np = None
+from .topology import Topology
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,16 @@ class LoadBalancer:
         return self.choose(router_id, candidates, flow)
 
 
-#: Distance maps retained per table: one BFS result is O(routers), so an
-#: unbounded cache over a million-interface topology would dominate peak
-#: RSS.  128 destination subnets comfortably covers a survey's working set.
-DEFAULT_DISTANCE_CACHE = 128
+#: Bytes of distance maps one topology retains, whichever engines ask (an
+#: LRU).  A map holds 2 bytes per router: the four-ISP internet's 488
+#: subnets take 3.5 MB in all and the 10^5-interface internet's 353 take
+#: 65 MB, while a million-interface topology (~2 MB a map) keeps its ~130
+#: most recently routed destination subnets instead of ~2 GB.
+DISTANCE_CACHE_BYTES = 256 << 20
+
+#: Serializes building a topology's routing state, so concurrent tables
+#: on one topology intern its graph once.
+_BUILD_LOCK = threading.Lock()
 
 
 def _gather(ptr, ind, nodes):
@@ -123,6 +127,12 @@ def _gather(ptr, ind, nodes):
     return ind[_np.repeat(starts - before, counts) + _np.arange(total)]
 
 
+def _row(adjacency, node: int):
+    """One CSR adjacency row, as an index-array view."""
+    ptr, ind = adjacency
+    return ind[ptr[node]:ptr[node + 1]]
+
+
 def _first_occurrences(values, slot):
     """``values`` without repeats, using ``slot`` (one entry per node id)
     as scratch instead of sorting."""
@@ -131,74 +141,31 @@ def _first_occurrences(values, slot):
     return values[slot[values] == positions]
 
 
-class RoutingTable:
-    """All-pairs router→subnet distances and ECMP next-hop sets.
+class _RoutingState:
+    """Routing derived from one version of one topology.
 
-    One BFS per *used* destination subnet over the router adjacency graph:
-    distance maps and next-hop sets are both derived lazily and cached, so
-    a worker that only routes toward its own shard's targets never pays
-    for the rest of the network.
-
-    The graph itself is interned on first use: router and subnet ids are
-    mapped to dense integer indices (in sorted-id order, which preserves
-    the enumeration order — and therefore the ECMP candidate order — of
-    the original string-keyed implementation) and the bipartite adjacency
-    is stored as CSR index arrays.  BFS then runs level-synchronously over
-    numpy arrays when available, or over plain int lists otherwise, with
-    identical results; either way a million-interface topology routes
-    without string hashing in the inner loop.  Distance maps are held in
-    an LRU bounded by ``distance_cache_size`` (each is O(routers)).
-    Mutating the topology (its ``version`` counter) invalidates the graph
-    and every derived cache.
-
-    Attributes:
-        bfs_runs: BFS executions so far — one per distinct destination
-            subnet actually routed toward (modulo LRU evictions).
+    Held on the topology (``Topology.routing_state``) and shared by every
+    :class:`RoutingTable` built on it: the interned graph, the distance
+    maps (an LRU under :data:`DISTANCE_CACHE_BYTES`) and the next-hop sets.
+    Router and subnet ids map to dense indices in sorted-id order, which
+    fixes the ECMP candidate order; the bipartite adjacency is stored as
+    CSR index arrays.  ``lock`` guards the lazy fills, so engines on one
+    topology may route from different threads.
     """
 
-    def __init__(self, topology: Topology,
-                 distance_cache_size: int = DEFAULT_DISTANCE_CACHE):
-        self.topology = topology
-        self.distance_cache_size = max(1, distance_cache_size)
-        self.bfs_runs = 0
-        self._graph_version: Optional[int] = None
-        self._router_ids: List[str] = []
-        self._subnet_ids: List[str] = []
-        self._r_index: Dict[str, int] = {}
-        self._s_index: Dict[str, int] = {}
-        self._r2s = None  # CSR (ptr, ind) tuple, or list-of-lists fallback
-        self._s2r = None
-        # subnet index -> distance array (-1 unreachable), LRU-bounded.
-        self._distance: "OrderedDict[int, object]" = OrderedDict()
-        self._next_hops: Dict[Tuple[str, str], List[NextHop]] = {}
-
-    # -- graph interning ---------------------------------------------------
-
-    def _ensure_graph(self) -> None:
-        version = getattr(self.topology, "version", -1)
-        if self._graph_version == version:
-            return
-        topology = self.topology
-        self._router_ids = sorted(topology.routers)
-        self._subnet_ids = sorted(topology.subnets)
-        self._r_index = {rid: i for i, rid in enumerate(self._router_ids)}
-        self._s_index = {sid: j for j, sid in enumerate(self._subnet_ids)}
-        r_index = self._r_index
+    def __init__(self, topology: Topology):
+        self.version = topology.version
+        self.router_ids = sorted(topology.routers)
+        self.subnet_ids = sorted(topology.subnets)
+        self.r_index = {rid: i for i, rid in enumerate(self.router_ids)}
+        self.s_index = {sid: j for j, sid in enumerate(self.subnet_ids)}
+        r_index = self.r_index
         edge_r: List[int] = []
         edge_s: List[int] = []
-        for j, sid in enumerate(self._subnet_ids):
+        for j, sid in enumerate(self.subnet_ids):
             for rid in topology.subnets[sid].router_ids:
                 edge_r.append(r_index[rid])
                 edge_s.append(j)
-        if _np is not None:
-            self._build_csr(edge_r, edge_s)
-        else:
-            self._build_lists(edge_r, edge_s)
-        self._distance.clear()
-        self._next_hops.clear()
-        self._graph_version = version
-
-    def _build_csr(self, edge_r: List[int], edge_s: List[int]) -> None:
         count = len(edge_r)
         r = _np.fromiter(edge_r, dtype=_np.int64, count=count)
         s = _np.fromiter(edge_s, dtype=_np.int64, count=count)
@@ -206,75 +173,92 @@ class RoutingTable:
         # order, so a stable sort by router keeps each row sorted (matching
         # the old sorted(set(router.subnet_ids)) enumeration).
         order = _np.argsort(r, kind="stable")
-        r2s_ptr = _np.zeros(len(self._router_ids) + 1, dtype=_np.int64)
-        _np.cumsum(_np.bincount(r, minlength=len(self._router_ids)),
+        r2s_ptr = _np.zeros(len(self.router_ids) + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(r, minlength=len(self.router_ids)),
                    out=r2s_ptr[1:])
         # subnet -> routers: rows sorted by router index == sorted ids.
         s_order = _np.lexsort((r, s))
-        s2r_ptr = _np.zeros(len(self._subnet_ids) + 1, dtype=_np.int64)
-        _np.cumsum(_np.bincount(s, minlength=len(self._subnet_ids)),
+        s2r_ptr = _np.zeros(len(self.subnet_ids) + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(s, minlength=len(self.subnet_ids)),
                    out=s2r_ptr[1:])
-        self._r2s = (r2s_ptr, s[order].astype(_np.int32))
-        self._s2r = (s2r_ptr, r[s_order].astype(_np.int32))
+        self.r2s = (r2s_ptr, s[order].astype(_np.int32))
+        self.s2r = (s2r_ptr, r[s_order].astype(_np.int32))
+        # subnet index -> distance array (-1 unreachable), oldest first.
+        self.distances: "OrderedDict[int, object]" = OrderedDict()
+        self.distance_bytes = 0
+        self.next_hops: Dict[Tuple[str, str], List[NextHop]] = {}
+        self.lock = threading.Lock()
 
-    def _build_lists(self, edge_r: List[int], edge_s: List[int]) -> None:
-        r2s: List[List[int]] = [[] for _ in self._router_ids]
-        s2r: List[List[int]] = [[] for _ in self._subnet_ids]
-        for r, s in zip(edge_r, edge_s):
-            r2s[r].append(s)  # ascending s already
-            s2r[s].append(r)
-        for row in s2r:
-            row.sort()
-        self._r2s = r2s
-        self._s2r = s2r
 
-    def _row(self, adjacency, node: int) -> List[int]:
-        """One adjacency row as a plain int list (both representations)."""
-        if isinstance(adjacency, tuple):
-            ptr, ind = adjacency
-            return ind[ptr[node]:ptr[node + 1]].tolist()
-        return adjacency[node]
+class RoutingTable:
+    """All-pairs router→subnet distances and ECMP next-hop sets.
 
-    # -- distances ---------------------------------------------------------
+    One BFS per *used* destination subnet over the router adjacency graph,
+    run level-synchronously over numpy arrays: distance maps and next-hop
+    sets are derived lazily, so a worker that only routes toward its own
+    shard's targets never pays for the rest of the network.
 
-    def _distances_to(self, subnet_index: int):
-        cached = self._distance.get(subnet_index)
-        if cached is not None:
-            self._distance.move_to_end(subnet_index)
-            return cached
-        distances = self._bfs(subnet_index)
-        self._distance[subnet_index] = distances
-        if len(self._distance) > self.distance_cache_size:
-            self._distance.popitem(last=False)
+    Routing is a function of the topology alone, so every table on one
+    :class:`~repro.netsim.topology.Topology` object shares one
+    :class:`_RoutingState`: engines surveying from several vantages BFS
+    each destination subnet once between them.  Mutating the topology (its
+    ``version`` counter) replaces that state for all of them.  The table
+    itself is a view that only counts its own BFS runs.
+
+    Attributes:
+        bfs_runs: BFS executions this table triggered — one per distinct
+            destination subnet it routed toward first (modulo evictions
+            from the shared byte-bounded distance cache).
+    """
+
+    def __init__(self, topology: Topology):
+        self.topology = topology
+        self.bfs_runs = 0
+
+    def _state(self) -> _RoutingState:
+        topology = self.topology
+        state = topology.routing_state
+        if state is None or state.version != topology.version:
+            with _BUILD_LOCK:
+                state = topology.routing_state
+                if state is None or state.version != topology.version:
+                    state = topology.routing_state = _RoutingState(topology)
+        return state
+
+    # -- distances (callers hold ``state.lock``) ---------------------------
+
+    def _distances_to(self, state: _RoutingState, subnet_index: int):
+        cache = state.distances
+        distances = cache.get(subnet_index)
+        if distances is not None:
+            cache.move_to_end(subnet_index)
+            return distances
+        distances = cache[subnet_index] = self._bfs(state, subnet_index)
+        state.distance_bytes += distances.nbytes
+        while state.distance_bytes > DISTANCE_CACHE_BYTES and len(cache) > 1:
+            state.distance_bytes -= cache.popitem(last=False)[1].nbytes
         return distances
 
-    def _bfs(self, start: int):
+    def _bfs(self, state: _RoutingState, start: int):
         """Level-synchronous BFS from every router attached to ``start``.
 
-        Returns per-router distances (-1 = unreachable).  The array and
-        list variants visit nodes in different orders but assign identical
-        distances: a subnet is always expanded at the minimal distance of
-        its attached routers.
+        Returns per-router distances (-1 = unreachable): a subnet is always
+        expanded at the minimal distance of its attached routers.
         """
         self.bfs_runs += 1
-        if isinstance(self._r2s, tuple):
-            return self._bfs_arrays(start)
-        return self._bfs_lists(start)
-
-    def _bfs_arrays(self, start: int):
-        r2s_ptr, r2s_ind = self._r2s
-        s2r_ptr, s2r_ind = self._s2r
-        distances = _np.full(len(self._router_ids), -1, dtype=_np.int32)
-        subnet_seen = _np.zeros(len(self._subnet_ids), dtype=bool)
+        r2s_ptr, r2s_ind = state.r2s
+        s2r_ptr, s2r_ind = state.s2r
+        distances = _np.full(len(state.router_ids), -1, dtype=_np.int32)
+        subnet_seen = _np.zeros(len(state.subnet_ids), dtype=bool)
         subnet_seen[start] = True
         # Dedupe scratch: one slot per node, written with each element's
         # position; an element is kept when its slot still holds its own
         # position (exactly one occurrence per value survives).  Linear,
         # unlike the sort behind np.unique; the frontier order it leaves
         # never changes the distances assigned per level.
-        router_slot = _np.empty(len(self._router_ids), dtype=_np.int64)
-        subnet_slot = _np.empty(len(self._subnet_ids), dtype=_np.int64)
-        frontier = s2r_ind[s2r_ptr[start]:s2r_ptr[start + 1]]
+        router_slot = _np.empty(len(state.router_ids), dtype=_np.int64)
+        subnet_slot = _np.empty(len(state.subnet_ids), dtype=_np.int64)
+        frontier = _row(state.s2r, start)
         distances[frontier] = 0
         depth = 0
         while frontier.size:
@@ -291,29 +275,8 @@ class RoutingTable:
             frontier = _first_occurrences(nbrs, router_slot)
             depth += 1
             distances[frontier] = depth
-        return distances
-
-    def _bfs_lists(self, start: int) -> List[int]:
-        r2s, s2r = self._r2s, self._s2r
-        distances = [-1] * len(self._router_ids)
-        subnet_seen = bytearray(len(self._subnet_ids))
-        subnet_seen[start] = 1
-        queue: deque = deque()
-        for router in s2r[start]:
-            distances[router] = 0
-            queue.append(router)
-        while queue:
-            current = queue.popleft()
-            depth = distances[current] + 1
-            for subnet in r2s[current]:
-                if subnet_seen[subnet]:
-                    continue
-                subnet_seen[subnet] = 1
-                for neighbor in s2r[subnet]:
-                    if distances[neighbor] < 0:
-                        distances[neighbor] = depth
-                        queue.append(neighbor)
-        return distances
+        # Kept as int16 (half the bytes) unless a hop count needs more.
+        return distances.astype(_np.int16) if depth < 1 << 15 else distances
 
     # -- public API --------------------------------------------------------
 
@@ -322,43 +285,46 @@ class RoutingTable:
 
         0 means the router is itself attached; None means unreachable.
         """
-        self._ensure_graph()
-        subnet_index = self._s_index.get(subnet_id)
+        state = self._state()
+        subnet_index = state.s_index.get(subnet_id)
         if subnet_index is None:
             raise KeyError(subnet_id)
-        router_index = self._r_index.get(router_id)
+        router_index = state.r_index.get(router_id)
         if router_index is None:
             return None
-        value = self._distances_to(subnet_index)[router_index]
+        with state.lock:
+            value = self._distances_to(state, subnet_index)[router_index]
         return None if value < 0 else int(value)
 
     def next_hops(self, router_id: str, subnet_id: str) -> List[NextHop]:
         """The ECMP set at ``router_id`` toward ``subnet_id`` (may be empty)."""
-        self._ensure_graph()
+        state = self._state()
         key = (router_id, subnet_id)
-        cached = self._next_hops.get(key)
+        cached = state.next_hops.get(key)
         if cached is not None:
             return cached
-        subnet_index = self._s_index.get(subnet_id)
+        subnet_index = state.s_index.get(subnet_id)
         if subnet_index is None:
             raise KeyError(subnet_id)
-        distances = self._distances_to(subnet_index)
         candidates: List[NextHop] = []
-        router_index = self._r_index.get(router_id)
-        if router_index is not None:
-            own = int(distances[router_index])
-            if own > 0:
-                router_ids = self._router_ids
-                subnet_ids = self._subnet_ids
-                for via in self._row(self._r2s, router_index):
-                    via_id = subnet_ids[via]
-                    for neighbor in self._row(self._s2r, via):
-                        if neighbor != router_index \
-                                and distances[neighbor] == own - 1:
+        with state.lock:
+            distances = self._distances_to(state, subnet_index)
+            router_index = state.r_index.get(router_id)
+            if router_index is not None:
+                own = int(distances[router_index])
+                if own > 0:
+                    # Members one hop closer on each attached subnet, in
+                    # index order (the router itself sits at ``own``).
+                    router_ids = state.router_ids
+                    for via in _row(state.r2s, router_index).tolist():
+                        members = _row(state.s2r, via)
+                        via_id = state.subnet_ids[via]
+                        closer = members[distances[members] == own - 1]
+                        for neighbor in closer.tolist():
                             candidates.append(NextHop(
                                 router_id=router_ids[neighbor],
                                 via_subnet_id=via_id))
-        self._next_hops[key] = candidates
+            state.next_hops[key] = candidates
         return candidates
 
     def egress_interface_toward(self, router_id: str, subnet_id: str) -> Optional[int]:

@@ -56,6 +56,9 @@ class Topology:
         # Structural mutation counter: bumped whenever the router↔subnet
         # graph changes, so derived caches (routing tables) can notice.
         self.version = 0
+        # Routing derived from this graph, shared by every RoutingTable on
+        # the topology (owned by netsim.routing, stamped with ``version``).
+        self.routing_state = None
 
     # -- construction --------------------------------------------------
 

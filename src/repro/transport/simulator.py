@@ -52,8 +52,11 @@ class SimulatorTransport:
     def backend_metrics(self) -> dict:
         """Engine counters — the only route
         by which ``engine.stats`` reaches the metrics layer (which is
-        sealed off from ``netsim.engine``)."""
-        return self.engine.stats.snapshot()
+        sealed off from ``netsim.engine``) — plus the BFS runs this
+        engine's routing table triggered."""
+        metrics = self.engine.stats.snapshot()
+        metrics["engine_routing_bfs_runs"] = self.engine.routing.bfs_runs
+        return metrics
 
     def close(self) -> None:
         """The engine holds no external resources."""

@@ -1,6 +1,9 @@
 """Tests for the engine's IP-ID models, wire-byte accounting, record-route
 plumbing, generator variety knobs, and other substrate details."""
 
+import random
+
+import pytest
 
 from conftest import address_on
 from repro.netsim import Engine, IpIdMode, Probe, Protocol, TopologyBuilder
@@ -78,6 +81,31 @@ class TestIpIds:
         first = send(engine, topo, dst).ip_id
         second = send(engine, topo, dst).ip_id
         assert (second - first) % 65536 == 1
+
+    @pytest.mark.parametrize("noise,mode", [
+        (0, IpIdMode.SHARED), (1, IpIdMode.SHARED), (7, IpIdMode.SHARED),
+        (8, IpIdMode.SHARED), (9, IpIdMode.SHARED), (8, IpIdMode.RANDOM)])
+    def test_draws_follow_the_randrange_stream(self, noise, mode):
+        # The engine draws with getrandbits rejection instead of
+        # randrange; the values must be randrange's, draw for draw.
+        seed = 11
+        engine, topo = chain(seed=seed, ip_id_noise=noise)
+        topo.routers["R2"].ip_id_mode = mode
+        dst = address_on(topo, "R2", "R1")
+        ids = [send(engine, topo, dst).ip_id for _ in range(300)]
+        rng = random.Random(seed ^ 0x1D5EED)
+        expected = []
+        current = None if mode == IpIdMode.SHARED else 0
+        for _ in ids:
+            if mode == IpIdMode.RANDOM:
+                expected.append(rng.randrange(65536))
+                continue
+            if current is None:
+                current = rng.randrange(65536)
+            current = (current + 1 + (rng.randrange(noise) if noise else 0)
+                       ) % 65536
+            expected.append(current)
+        assert ids == expected
 
 
 class TestWireBytes:

@@ -1,9 +1,20 @@
 """Unit tests for routing tables, ECMP sets and load balancing."""
 
+import json
+import sys
+import threading
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.netsim.routing as routing_module
+from repro.core import TraceNET
+from repro.mapping.store import archive_from_tool, archive_to_dict
+from repro.netsim import Engine, Probe
 from repro.netsim.builder import TopologyBuilder
+from repro.netsim.dynamics import MutationSchedule, NetworkDynamics
 from repro.netsim.routing import (
     FlowKey,
     LoadBalancer,
@@ -11,6 +22,13 @@ from repro.netsim.routing import (
     NextHop,
     RoutingTable,
 )
+from repro.netsim.serialize import (
+    policy_from_dict,
+    policy_to_dict,
+    topology_from_dict,
+    topology_to_dict,
+)
+from repro.topogen import isp, random_topo
 
 
 def diamond():
@@ -23,6 +41,65 @@ def diamond():
     stub = builder.link("D", "E")
     builder.edge_host("v", "A")
     return builder.build(), stub
+
+
+def oracle_routes(r2s, s2r, subnet_id):
+    """Plain-python BFS toward ``subnet_id``, the reference the numpy BFS
+    must match: each reachable router's hop distance, and every router's
+    ECMP set enumerated in sorted-id order (the load balancers' contract).
+    ``r2s`` / ``s2r`` map each router / subnet to its sorted neighbours.
+    """
+    distances = {}
+    queue = deque()
+    for router_id in s2r[subnet_id]:
+        distances[router_id] = 0
+        queue.append(router_id)
+    seen = {subnet_id}
+    while queue:
+        current = queue.popleft()
+        for via in r2s[current]:
+            if via in seen:
+                continue
+            seen.add(via)
+            for neighbor in s2r[via]:
+                if neighbor not in distances:
+                    distances[neighbor] = distances[current] + 1
+                    queue.append(neighbor)
+    # Each subnet's members by distance: a router's ECMP set is the
+    # members one hop closer than itself on each subnet it attaches to.
+    members_at = {}
+    for via, members in s2r.items():
+        for neighbor in members:
+            members_at.setdefault((via, distances.get(neighbor)),
+                                  []).append(neighbor)
+    hops = {}
+    for router_id, vias in r2s.items():
+        own = distances.get(router_id)
+        hops[router_id] = [] if not own else [
+            NextHop(neighbor, via) for via in vias
+            for neighbor in members_at.get((via, own - 1), ())]
+    return distances, hops
+
+
+def assert_matches_oracle(topology):
+    r2s = {router_id: sorted(set(router.subnet_ids))
+           for router_id, router in sorted(topology.routers.items())}
+    s2r = {subnet_id: sorted(subnet.router_ids)
+           for subnet_id, subnet in topology.subnets.items()}
+    table = RoutingTable(topology)
+    for subnet_id in sorted(topology.subnets):
+        distances, hops = oracle_routes(r2s, s2r, subnet_id)
+        for router_id in r2s:
+            assert (table.distance(router_id, subnet_id)
+                    == distances.get(router_id)), (router_id, subnet_id)
+            assert (table.next_hops(router_id, subnet_id)
+                    == hops[router_id]), (router_id, subnet_id)
+    assert table.bfs_runs == len(topology.subnets)
+
+
+def clone(network):
+    return (topology_from_dict(topology_to_dict(network.topology)),
+            policy_from_dict(policy_to_dict(network.policy)))
 
 
 class TestRoutingTable:
@@ -108,20 +185,27 @@ class TestLazyBfsCache:
         table.distance("A", other)
         assert table.bfs_runs == 2
 
-    def test_lru_bounds_distance_maps_and_recomputes_evicted(self):
+    def test_byte_budget_evicts_oldest_map_and_recomputes_it(
+            self, monkeypatch):
         topo, stub = diamond()
-        table = RoutingTable(topo, distance_cache_size=2)
+        table = RoutingTable(topo)
+        map_bytes = 2 * len(topo.routers)  # int16 hop counts
+        monkeypatch.setattr(routing_module, "DISTANCE_CACHE_BYTES",
+                            2 * map_bytes)
         subnets = sorted(topo.subnets)[:3]
         for subnet_id in subnets:
             table.distance("A", subnet_id)
         assert table.bfs_runs == 3
-        assert len(table._distance) == 2
-        # The oldest entry was evicted; touching it costs a fresh BFS.
+        # Two maps fit the budget: the oldest was evicted, and touching it
+        # costs a fresh BFS that evicts the next oldest in turn.
         table.distance("A", subnets[0])
         assert table.bfs_runs == 4
         # The most-recent entries are still served from the cache.
         table.distance("A", subnets[2])
+        table.distance("A", subnets[0])
         assert table.bfs_runs == 4
+        table.distance("A", subnets[1])
+        assert table.bfs_runs == 5
 
     def test_topology_mutation_invalidates_graph_and_caches(self):
         builder = TopologyBuilder("diamond")
@@ -169,22 +253,160 @@ class TestLazyBfsCache:
                  for _ in range(8)}
         assert len(picks) == 1
 
-    @pytest.mark.skipif(routing_module._np is None,
-                        reason="numpy unavailable; only one path to compare")
-    def test_python_fallback_matches_numpy(self, monkeypatch):
+
+
+class TestOracleParity:
+    """The numpy BFS against the plain-python oracle: same distances, same
+    ECMP sets in the same order, one BFS per destination subnet."""
+
+    def test_matches_python_oracle_on_diamond(self):
         topo, _ = diamond()
-        arrays = RoutingTable(topo)
-        monkeypatch.setattr(routing_module, "_np", None)
-        lists = RoutingTable(topo)
-        for subnet_id in sorted(topo.subnets):
-            for router_id in sorted(topo.routers):
-                assert (arrays.distance(router_id, subnet_id)
-                        == lists.distance(router_id, subnet_id)), (
-                    router_id, subnet_id)
-                arrays_hops = arrays.next_hops(router_id, subnet_id)
-                lists_hops = lists.next_hops(router_id, subnet_id)
-                assert arrays_hops == lists_hops, (router_id, subnet_id)
-        assert arrays.bfs_runs == lists.bfs_runs
+        assert_matches_oracle(topo)
+
+    def test_matches_python_oracle_on_small_internet(self):
+        assert_matches_oracle(isp.build_internet(seed=42, scale=0.1).topology)
+
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_python_oracle_on_random_topologies(self, seed):
+        network = random_topo.build_random(seed, max_p2p=10, max_lans=3)
+        assert_matches_oracle(network.topology)
+
+
+def survey_archives(tools, targets):
+    """Trace every target from every tool; canonical archive bytes."""
+    return [json.dumps(archive_to_dict(archive_from_tool(
+        tool, [tool.trace(target) for target in targets])), sort_keys=True)
+        for tool in tools]
+
+
+class TestSharedTable:
+    """Every engine on one Topology object shares one routing state."""
+
+    VANTAGES = ("rice", "umass", "uoregon")
+
+    @pytest.fixture(scope="class")
+    def internet(self):
+        network = isp.build_internet(seed=42, scale=0.1)
+        targets = sorted(target for group in network.targets().values()
+                         for target in group)[::40]
+        return network, targets
+
+    def test_one_bfs_per_destination_subnet_across_engines(
+            self, internet, monkeypatch):
+        network, targets = internet
+        starts = []
+        original = RoutingTable._bfs
+
+        def recording(table, state, start):
+            starts.append((id(table.topology), start))
+            return original(table, state, start)
+
+        monkeypatch.setattr(RoutingTable, "_bfs", recording)
+        topology, policy = clone(network)
+        shared = [TraceNET(Engine(topology, policy=policy), vantage)
+                  for vantage in self.VANTAGES]
+        survey_archives(shared, targets)
+        shared_runs = [tool.engine.routing.bfs_runs for tool in shared]
+        shared_subnets = {start for _, start in starts}
+        assert sum(shared_runs) == len(starts) == len(shared_subnets)
+        assert all(runs > 0 for runs in shared_runs)
+        # One topology per vantage: each BFS's the subnets it routes to.
+        starts.clear()
+        separate = []
+        for vantage in self.VANTAGES:
+            topology, policy = clone(network)
+            separate.append(TraceNET(Engine(topology, policy=policy),
+                                     vantage))
+        survey_archives(separate, targets)
+        assert {start for _, start in starts} == shared_subnets
+        assert sum(tool.engine.routing.bfs_runs for tool in separate) \
+            > sum(shared_runs)
+
+    def test_shared_archives_equal_unmemoized_engines_on_a_copy(
+            self, internet):
+        network, targets = internet
+        topology, policy = clone(network)
+        shared = [TraceNET(Engine(topology, policy=policy), vantage)
+                  for vantage in self.VANTAGES]
+        topology, policy = clone(network)
+        walked = [TraceNET(Engine(topology, policy=policy,
+                                  path_cache=False), vantage)
+                  for vantage in self.VANTAGES]
+        assert survey_archives(shared, targets) \
+            == survey_archives(walked, targets)
+
+    def test_mutation_through_one_engine_reroutes_every_engine(
+            self, internet):
+        network, targets = internet
+        # Fully responsive engines: no rate-limit state tells a warm
+        # engine from a fresh one, only the routes can.
+        topology, _ = clone(network)
+        engines = [Engine(topology) for _ in self.VANTAGES]
+        sources = [topology.hosts[vantage].address
+                   for vantage in self.VANTAGES]
+
+        def answers(engine, source):
+            out = []
+            for dst in targets:
+                for ttl in (2, 5, 9, 32):
+                    response = engine.send(Probe(src=source, dst=dst,
+                                                 ttl=ttl, record_route=True))
+                    out.append(None if response is None else (
+                        response.kind, response.source, response.responder,
+                        response.record_route))
+            return out
+
+        # Warm every memo and the routing state.
+        before = [answers(engine, source)
+                  for engine, source in zip(engines, sources)]
+        schedule = MutationSchedule.generate(
+            topology, seed=3, start=0, interval=1, count=40,
+            recover_after=10**9, kinds=("link-flap", "resize"))
+        dynamics = NetworkDynamics(engines[0], schedule)
+        dynamics.advance(100)
+        rebuilt = topology_from_dict(topology_to_dict(topology))
+        after = [answers(engine, source)
+                 for engine, source in zip(engines[1:], sources[1:])]
+        assert after != before[1:]  # the mutations moved some route
+        assert after == [answers(Engine(rebuilt), source)
+                         for source in sources[1:]]
+
+    def test_engines_in_threads_give_the_serial_archives(self, internet):
+        network, targets = internet
+
+        def tools_on(topology):
+            return [TraceNET(Engine(topology, policy=policy_from_dict(
+                policy_to_dict(network.policy))), vantage)
+                for vantage in self.VANTAGES]
+
+        serial_tools = tools_on(clone(network)[0])
+        serial = [survey_archives([tool], targets)[0]
+                  for tool in serial_tools]
+        threaded = [None] * len(self.VANTAGES)
+        tools = tools_on(clone(network)[0])
+        barrier = threading.Barrier(len(tools))
+
+        def run(index):
+            barrier.wait()
+            threaded[index] = survey_archives([tools[index]], targets)[0]
+
+        threads = [threading.Thread(target=run, args=(index,))
+                   for index in range(len(tools))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the cold fills
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threaded == serial
+        # A fill raced past the lock would BFS one subnet twice.
+        assert sum(tool.engine.routing.bfs_runs for tool in tools) \
+            == sum(tool.engine.routing.bfs_runs for tool in serial_tools)
 
 
 class TestLoadBalancer:
